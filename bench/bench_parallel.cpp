@@ -6,9 +6,9 @@
 // and sharded across one worker per hardware thread, checks the two
 // reports are byte-identical (the determinism contract documented in
 // fault::CampaignConfig), and reports the wall-clock speedup. A second
-// section shards independent simulation repetitions with
-// parallel_for_metrics and checks the merged per-worker metrics match
-// the serial tally.
+// section shards independent simulation repetitions with per-worker
+// metrics registries and checks the merged metrics match the serial
+// tally.
 //
 // Writes BENCH_parallel.json; the `extra` map carries jobs and speedup,
 // and the campaign entries carry the coverage summary block (the merged
@@ -157,7 +157,9 @@ main()
 
     // Repetition sharding: per-worker metric registries, merged at join.
     const uint64_t reps = bench::scaled<uint64_t>(64, 8);
-    auto one_rep = [&](uint64_t rep, koika::obs::MetricsRegistry& reg) {
+    auto one_rep = [&](const koika::harness::Shard& s) {
+        uint64_t rep = s.first;
+        koika::obs::MetricsRegistry& reg = *s.metrics;
         auto engine = koika::sim::make_engine(
             d, koika::sim::Tier::kT5StaticAnalysis);
         // Jobs-independent per-rep seed, even though collatz ignores it:
@@ -171,12 +173,13 @@ main()
 
     koika::obs::MetricsRegistry merged_serial;
     bench::Timer ts;
-    koika::harness::parallel_for_metrics(reps, 1, merged_serial, one_rep);
+    koika::harness::parallel_for(reps, 1, one_rep,
+                                 {.metrics = &merged_serial});
     double rep_serial = ts.seconds();
 
     koika::obs::MetricsRegistry merged;
     bench::Timer tp;
-    koika::harness::parallel_for_metrics(reps, jobs, merged, one_rep);
+    koika::harness::parallel_for(reps, jobs, one_rep, {.metrics = &merged});
     double rep_parallel = tp.seconds();
 
     if (merged.to_json().dump(2) != merged_serial.to_json().dump(2))

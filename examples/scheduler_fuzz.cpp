@@ -101,7 +101,9 @@ fuzz_closed(const std::string& name, int cycles, int trials)
     std::vector<obs::CoverageMap> cov;
     if (!fuzz_cov_prefix.empty())
         cov.resize((size_t)trials);
-    harness::parallel_for((uint64_t)trials, fuzz_jobs, [&](uint64_t t) {
+    harness::parallel_for((uint64_t)trials, fuzz_jobs,
+                          [&](const harness::Shard& s) {
+        uint64_t t = s.first;
         obs::ProfScope setup_span("trial/setup");
         std::mt19937_64 rng(harness::derive_seed(42, t));
         auto e = sim::make_engine(*d, sim::Tier::kT4MergedData);
@@ -153,7 +155,9 @@ fuzz_rv32(int trials)
     std::vector<obs::CoverageMap> cov;
     if (!fuzz_cov_prefix.empty())
         cov.resize((size_t)trials);
-    harness::parallel_for((uint64_t)trials, fuzz_jobs, [&](uint64_t t) {
+    harness::parallel_for((uint64_t)trials, fuzz_jobs,
+                          [&](const harness::Shard& s) {
+        uint64_t t = s.first;
         obs::ProfScope setup_span("trial/setup");
         std::mt19937_64 rng(harness::derive_seed(7, t));
         auto e = sim::make_engine(*d, sim::Tier::kT4MergedData);

@@ -627,10 +627,8 @@ compile_model_driver(const Design& design, const std::string& workdir,
     CompileOptions with_design = opts;
     if (with_design.design.empty())
         with_design.design = design.name();
-    EmitOptions eopts = opts.emit;
-    eopts.class_name.clear(); // the file is named after the design
     obs::ProfScope emit_span("compile/emit");
-    std::string model = emit_model(design, eopts);
+    std::string model = emit_model(design);
     emit_span.close();
     return compile_cpp(workdir,
                        {{cls + ".model.hpp", std::move(model)},

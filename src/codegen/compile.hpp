@@ -33,7 +33,6 @@
 
 #include <sys/types.h>
 
-#include "codegen/cpp_emit.hpp"
 #include "koika/design.hpp"
 #include "obs/metrics.hpp"
 
@@ -210,14 +209,6 @@ struct CompileOptions
     std::string design;
     /** Compiled-model cache; disabled unless `cache.dir` is set. */
     CacheConfig cache;
-    /**
-     * How compile_model_driver emits the model (counters, abort-reason
-     * and coverage instrumentation). `class_name` is ignored: the model
-     * file is always named after model_class_name(design). The emit
-     * options participate in the cache key through the emitted source,
-     * so instrumented and plain builds never collide.
-     */
-    EmitOptions emit;
 };
 
 /**

@@ -259,11 +259,6 @@ class Emitter
         line();
         line("#include <cstdint>");
         line("#include <cstring>");
-        if (opts_.batch) {
-            line("#include <array>");
-            line("#include <cstddef>");
-            line("#include <utility>");
-        }
         line();
         line("#include \"cuttlesim.hpp\"");
         line();
@@ -280,133 +275,7 @@ class Emitter
         --indent_;
         line("};");
         line();
-        if (opts_.batch)
-            emit_batch();
         line("} // namespace cuttlesim::models");
-    }
-
-    // -- Batched multi-instance companion (SIMD across trials) ---------------
-    void
-    emit_batch()
-    {
-        std::string cls = class_name();
-        line("// Batched multi-instance execution: kLanes independent");
-        line("// trials of '" + cls + "' advance in lockstep, one cycle");
-        line("// per cycle() call. Register state is struct-of-arrays —");
-        line("// one contiguous per-register array across lanes — so");
-        line("// per-register sweeps stream linearly through memory,");
-        line("// while rule evaluation runs in a single shared core");
-        line("// whose logs and read-write sets stay cache-resident");
-        line("// across lanes. Finished or diverged lanes are masked");
-        line("// out GPU-warp style: cycle() skips them and their lane");
-        line("// state freezes at the masking point. Counters and");
-        line("// coverage accumulate in the shared core, i.e. as");
-        line("// aggregate statistics over the whole batch.");
-        line("template <std::size_t kLanes>");
-        line("class " + cls + "_batch {");
-        line("  public:");
-        ++indent_;
-        line("using scalar_model = " + cls + ";");
-        line("static constexpr std::size_t lane_count = kLanes;");
-        line();
-        line("// Lane l's value of register R lives in soa_.R[l].");
-        line("struct soa_registers_t {");
-        {
-            Indent in(*this);
-            for (size_t r = 0; r < d_.num_registers(); ++r)
-                line("std::array<decltype(std::declval<scalar_model::"
-                     "registers_t&>()." +
-                     reg_name((int)r) + "), kLanes> " + reg_name((int)r) +
-                     "{};");
-        }
-        line("};");
-        line();
-        line(cls + "_batch() {");
-        {
-            Indent in(*this);
-            line("// Broadcast the scalar reset values to every lane.");
-            line("for (std::size_t l = 0; l < kLanes; ++l) {");
-            line("    active_[l] = true;");
-            line("    store_lane(l);");
-            line("}");
-        }
-        line("}");
-        line();
-        line("// -- Lane mask ------------------------------------------");
-        line("bool active(std::size_t lane) const { return "
-             "active_[lane]; }");
-        line("void set_active(std::size_t lane, bool on) { "
-             "active_[lane] = on; }");
-        line("std::size_t active_lanes() const {");
-        line("    std::size_t n = 0;");
-        line("    for (bool a : active_) n += a ? 1 : 0;");
-        line("    return n;");
-        line("}");
-        line("uint64_t lane_cycles(std::size_t lane) const { return "
-             "lane_cycles_[lane]; }");
-        line();
-        line("// -- Lockstep advance -----------------------------------");
-        line("void cycle() {");
-        {
-            Indent in(*this);
-            line("for (std::size_t l = 0; l < kLanes; ++l) {");
-            line("    if (!active_[l]) continue;");
-            line("    load_lane(l);");
-            line("    core_.cycle();");
-            line("    store_lane(l);");
-            line("    ++lane_cycles_[l];");
-            line("}");
-        }
-        line("}");
-        line();
-        line("// -- Per-lane state transfer ----------------------------");
-        line("void load_lane(std::size_t l) {");
-        {
-            Indent in(*this);
-            for (size_t r = 0; r < d_.num_registers(); ++r)
-                line("core_.Log.data." + reg_name((int)r) + " = soa_." +
-                     reg_name((int)r) + "[l];");
-            line("core_.log.data = core_.Log.data;");
-        }
-        line("}");
-        line("void store_lane(std::size_t l) {");
-        {
-            Indent in(*this);
-            for (size_t r = 0; r < d_.num_registers(); ++r)
-                line("soa_." + reg_name((int)r) + "[l] = core_.Log.data." +
-                     reg_name((int)r) + ";");
-        }
-        line("}");
-        line();
-        line("// Flat per-lane register access, same word layout as the");
-        line("// scalar model's get_reg_words/set_reg_words.");
-        line("void get_reg_words(std::size_t lane, std::size_t r, "
-             "uint64_t* out) {");
-        line("    load_lane(lane);");
-        line("    core_.get_reg_words(r, out);");
-        line("}");
-        line("void set_reg_words(std::size_t lane, std::size_t r, "
-             "const uint64_t* in) {");
-        line("    load_lane(lane);");
-        line("    core_.set_reg_words(r, in);");
-        line("    store_lane(lane);");
-        line("}");
-        line();
-        line("// The shared evaluation core (aggregate counters and");
-        line("// coverage for the whole batch live here).");
-        line("scalar_model& core() { return core_; }");
-        line("const scalar_model& core() const { return core_; }");
-        line();
-        --indent_;
-        line("  private:");
-        ++indent_;
-        line("scalar_model core_{};");
-        line("soa_registers_t soa_{};");
-        line("std::array<bool, kLanes> active_{};");
-        line("std::array<uint64_t, kLanes> lane_cycles_{};");
-        --indent_;
-        line("};");
-        line();
     }
 
     void
@@ -1177,11 +1046,7 @@ emit_model(const Design& design, const EmitOptions& options)
 size_t
 model_sloc(const Design& design)
 {
-    // Scalar model only: Table 1 compares against the paper's numbers,
-    // which predate the batched companion template.
-    EmitOptions opts;
-    opts.batch = false;
-    std::string text = emit_model(design, opts);
+    std::string text = emit_model(design);
     size_t lines = 0;
     bool nonblank = false;
     for (char c : text) {

@@ -59,18 +59,6 @@ struct EmitOptions
      */
     bool coverage = false;
 
-    /**
-     * Also emit `<class>_batch<kLanes>`, the batched multi-instance
-     * companion: register state is struct-of-arrays across kLanes
-     * trial lanes and cycle() advances every unmasked lane in lockstep
-     * through the scalar model's rule code (finished/diverged lanes
-     * are masked out GPU-warp style). Header-only and templated, so
-     * leaving it on costs nothing unless a lane count is instantiated.
-     * model_sloc() turns it off: the paper's Table 1 counts the scalar
-     * model alone.
-     */
-    bool batch = true;
-
     /** Override the emitted class name (empty = model_class_name()). */
     std::string class_name;
 };

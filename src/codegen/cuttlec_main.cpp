@@ -28,7 +28,7 @@
  *   cuttlec --design fir --cycles 200 --trace=fir.json
  *       Chrome trace-event rule activity, viewable in ui.perfetto.dev
  *   cuttlec --design fir --cycles 200 --vcd=fir.vcd
- *       committed-register waveform for GTKWave (interpreter engines)
+ *       committed-register waveform for GTKWave
  *   cuttlec --design rv32i --cycles 2000 --coverage=rv32i.cov.json
  *       design-coverage database (statements, branch outcomes, rule
  *       activity, register toggles) in the cuttlesim-cov-v1 schema;
@@ -39,14 +39,14 @@
  *       reps) into one database; merging is commutative, so any shard
  *       order produces the same bytes
  * The engine is selectable: --engine=T0..T5 picks an interpreter tier,
- * --engine=compiled emits the model, compiles it with the system C++
- * compiler and times the real binary. With --trace= or --coverage=, the
- * compiled engine emits an instrumented model plus an observing driver
- * that streams per-cycle rule activity and a final coverage record over
- * stdout, which cuttlec replays into the same trace/coverage files the
- * interpreter tiers write. When that out-of-process pipeline fails
- * (broken flags, wedged toolchain), cuttlec degrades gracefully: it
- * warns and falls back to the T5 interpreter tier.
+ * --engine=compiled emits the instrumented model, compiles it with the
+ * system C++ compiler into a shared object and dlopens it
+ * (codegen/dlmodel.hpp). The compiled model then runs in process with
+ * the design's peripherals, exactly where a tier would, so every
+ * artifact above (and checkpoints, bisection, fault campaigns) works on
+ * it. When the model cannot be built (broken flags, wedged toolchain),
+ * a simulation degrades gracefully: it warns and falls back to the T5
+ * interpreter tier.
  *
  * Resilience (README "Fault-injection campaigns"):
  *   cuttlec --design rv32i --fault-campaign=SEED --fault-count=100 \
@@ -89,7 +89,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -240,10 +239,9 @@ usage()
            "                abort-reason stats as JSON (includes a\n"
            "                coverage summary when --coverage= also ran)\n"
            "  --trace=FILE  simulate and write a Chrome trace-event JSON\n"
-           "                (open in ui.perfetto.dev); works on every\n"
-           "                engine, including --engine=compiled\n"
+           "                (open in ui.perfetto.dev)\n"
            "  --vcd=FILE    simulate and write a VCD waveform of the\n"
-           "                committed registers (interpreter engines)\n"
+           "                committed registers\n"
            "  --coverage=FILE\n"
            "                simulate and write a cuttlesim-cov-v1 design\n"
            "                coverage database: statement counts, branch\n"
@@ -262,15 +260,13 @@ usage()
            "  --cycles N    simulation length / fault-campaign horizon\n"
            "                (default 1000)\n"
            "  --engine=E    simulation engine: an interpreter tier\n"
-           "                (T0..T5, default T5) or 'compiled' (emit,\n"
-           "                compile with the system C++ compiler, run the\n"
-           "                binary; falls back to T5 with a warning when\n"
-           "                the out-of-process pipeline fails). Fault\n"
-           "                campaigns run 'compiled' in process: the\n"
-           "                instrumented model is built once, dlopened,\n"
-           "                and driven through the same trial loop as\n"
-           "                the tiers (byte-identical reports at any\n"
-           "                --jobs/--batch)\n"
+           "                (T0..T5, default T5), 'ref', or 'compiled'\n"
+           "                (emit the instrumented model, compile it with\n"
+           "                the system C++ compiler, dlopen it and run it\n"
+           "                in process like a tier; every output, flag\n"
+           "                and subcommand works on it). A simulation\n"
+           "                falls back to T5 with a warning when the\n"
+           "                model cannot be built\n"
            "  --cxxflags=F  flags for --engine=compiled (default -O2)\n"
            "  --fault-campaign=SEED\n"
            "                run a deterministic fault-injection campaign\n"
@@ -324,7 +320,7 @@ usage()
            "                save a cuttlesim-ckpt-v1 checkpoint of the\n"
            "                full simulation state (registers, engine\n"
            "                counters, peripherals, coverage, metrics) at\n"
-           "                the end of the run (in-process engines)\n"
+           "                the end of the run\n"
            "  --checkpoint-every=N\n"
            "                also save FILE.<cycle> every N cycles\n"
            "  --restore=FILE    resume from a checkpoint; stats and\n"
@@ -333,7 +329,8 @@ usage()
            "                count (instead of --cycles more)\n"
            "  --bisect-divergence A B\n"
            "                find the first cycle where engines A and B\n"
-           "                (T0..T5 or 'ref') commit different state:\n"
+           "                (T0..T5, 'ref' or 'compiled') commit\n"
+           "                different state:\n"
            "                checkpointed scan + binary search + 1-cycle\n"
            "                replay; reports cycle, register, firing sets\n"
            "  --perturb=CYCLE:REG:BIT\n"
@@ -567,363 +564,6 @@ fault_orchestrate_cmd(const koika::Design& design,
 }
 
 /**
- * The driver emitted for an observing --engine=compiled run: besides
- * cycling the model, it streams what the interpreter tiers can report
- * in-process. One "T <chars>" line per cycle when tracing (one char per
- * scheduled rule: '*' committed, 'g'/'r'/'w' guard/read/write-conflict
- * abort, '.' idle), and one final "COV {json}" record when collecting
- * coverage (sparse statement/branch counts straight from the model's
- * instrumentation arrays, per-rule totals, per-bit toggle counts
- * computed by diffing committed state each cycle). cuttlec parses that
- * stdout and replays it into the same TraceWriter/CoverageMap files an
- * interpreter run writes.
- */
-std::string
-observing_driver(const koika::Design& design, bool want_trace,
-                 bool want_cov)
-{
-    std::string cls = koika::codegen::model_class_name(design);
-    std::ostringstream os;
-    os << "#include <cstdint>\n#include <cstdio>\n#include <cstdlib>\n"
-          "#include <cstring>\n"
-          "#include \""
-       << cls << ".model.hpp\"\n"
-       << "using model_t = cuttlesim::models::" << cls << ";\n"
-       << "int main(int argc, char** argv) {\n"
-          "    unsigned long n = argc > 1 ? strtoul(argv[1], nullptr, "
-          "10) : 1000;\n"
-          "    static model_t m;\n";
-    if (want_cov)
-        os << "    static uint64_t prev[model_t::kNumRegs][8];\n"
-              "    static uint64_t now[8];\n"
-              "    static size_t off[model_t::kNumRegs + 1];\n"
-              "    for (size_t r = 0; r < model_t::kNumRegs; ++r) {\n"
-              "        m.get_reg_words(r, prev[r]);\n"
-              "        off[r + 1] = off[r] + model_t::kRegWidths[r];\n"
-              "    }\n"
-              "    uint64_t* rise = (uint64_t*)calloc(\n"
-              "        off[model_t::kNumRegs] + 1, sizeof(uint64_t));\n"
-              "    uint64_t* fall = (uint64_t*)calloc(\n"
-              "        off[model_t::kNumRegs] + 1, sizeof(uint64_t));\n";
-    if (want_trace)
-        os << "    static uint64_t prev_reason[model_t::kNumRules * "
-              "3];\n"
-              "    static char lbuf[model_t::kNumRules + 1];\n";
-    os << "    for (unsigned long c = 0; c < n; ++c) {\n"
-          "        m.cycle();\n";
-    if (want_cov)
-        os << "        for (size_t r = 0; r < model_t::kNumRegs; ++r) "
-              "{\n"
-              "            m.get_reg_words(r, now);\n"
-              "            for (size_t b = 0; b < model_t::kRegWidths[r]; "
-              "++b) {\n"
-              "                uint64_t ob = (prev[r][b >> 6] >> (b & "
-              "63)) & 1;\n"
-              "                uint64_t nb = (now[b >> 6] >> (b & 63)) "
-              "& 1;\n"
-              "                if (ob != nb) ++(nb ? rise : "
-              "fall)[off[r] + b];\n"
-              "            }\n"
-              "            std::memcpy(prev[r], now, sizeof now);\n"
-              "        }\n";
-    if (want_trace)
-        os << "        for (size_t r = 0; r < model_t::kNumRules; ++r) "
-              "{\n"
-              "            char ch = '.';\n"
-              "            if (m.last_fired[r]) ch = '*';\n"
-              "            else {\n"
-              "                const char k[3] = {'g', 'r', 'w'};\n"
-              "                for (int j = 0; j < 3; ++j)\n"
-              "                    if (m.abort_reason_count[r * 3 + "
-              "(size_t)j] != prev_reason[r * 3 + (size_t)j]) { ch = "
-              "k[j]; break; }\n"
-              "            }\n"
-              "            lbuf[r] = ch;\n"
-              "        }\n"
-              "        lbuf[model_t::kNumRules] = 0;\n"
-              "        std::memcpy(prev_reason, m.abort_reason_count, "
-              "sizeof prev_reason);\n"
-              "        std::printf(\"T %s\\n\", lbuf);\n";
-    os << "    }\n";
-    if (want_cov) {
-        os << "    const char* sep;\n"
-              "    std::printf(\"COV {\");\n";
-        auto sparse = [&](const char* key, const char* array) {
-            os << "    std::printf(\"\\\"" << key << "\\\":{\");\n"
-               << "    sep = \"\";\n"
-               << "    for (size_t i = 0; i < model_t::kNumNodes; ++i)\n"
-               << "        if (m." << array << "[i]) {\n"
-               << "            std::printf(\"%s\\\"%zu\\\":%llu\", sep, "
-                  "i, (unsigned long long)m."
-               << array << "[i]);\n"
-               << "            sep = \",\";\n"
-               << "        }\n"
-               << "    std::printf(\"},\");\n";
-        };
-        sparse("stmt", "stmt_count");
-        sparse("taken", "branch_taken_count");
-        sparse("not_taken", "branch_not_taken_count");
-        os << "    std::printf(\"\\\"rules\\\":{\");\n"
-              "    sep = \"\";\n"
-              "    for (size_t r = 0; r < model_t::kNumRules; ++r) {\n"
-              "        std::printf(\"%s\\\"%s\\\":[%llu,%llu]\", sep, "
-              "model_t::kRuleNames[r],\n"
-              "                    (unsigned long "
-              "long)m.commit_count[r],\n"
-              "                    (unsigned long "
-              "long)m.abort_count[r]);\n"
-              "        sep = \",\";\n"
-              "    }\n"
-              "    std::printf(\"},\");\n";
-        auto toggles = [&](const char* key, const char* array) {
-            os << "    std::printf(\"\\\"" << key << "\\\":[\");\n"
-               << "    for (size_t r = 0; r < model_t::kNumRegs; ++r) "
-                  "{\n"
-               << "        std::printf(\"%s[\", r ? \",\" : \"\");\n"
-               << "        for (size_t b = 0; b < "
-                  "model_t::kRegWidths[r]; ++b)\n"
-               << "            std::printf(\"%s%llu\", b ? \",\" : "
-                  "\"\", (unsigned long long)"
-               << array << "[off[r] + b]);\n"
-               << "        std::printf(\"]\");\n"
-               << "    }\n"
-               << "    std::printf(\"]\");\n";
-        };
-        toggles("rise", "rise");
-        os << "    std::printf(\",\");\n";
-        toggles("fall", "fall");
-        os << "    std::printf(\"}\\n\");\n";
-    }
-    os << "    return 0;\n}\n";
-    return os.str();
-}
-
-/** Turn the observing driver's "COV {json}" record into a database. */
-koika::obs::CoverageMap
-parse_compiled_coverage(const koika::Design& design,
-                        const std::string& json, uint64_t cycles)
-{
-    koika::obs::Json j = koika::obs::Json::parse(json);
-    koika::obs::CoverageMap map =
-        koika::obs::CoverageMap::for_design(design);
-    map.cycles = cycles;
-    map.add_engine("cuttlesim");
-    auto fill = [&](const char* key, std::vector<uint64_t>& dst) {
-        if (const koika::obs::Json* o = j.find(key))
-            for (const auto& [k, v] : o->items()) {
-                size_t id = (size_t)std::stoull(k);
-                if (id < dst.size())
-                    dst[id] = v.as_u64();
-            }
-    };
-    fill("stmt", map.stmt_count);
-    fill("taken", map.branch_taken);
-    fill("not_taken", map.branch_not_taken);
-    if (const koika::obs::Json* rules = j.find("rules"))
-        for (const auto& [name, v] : rules->items())
-            for (koika::obs::CoverageMap::RuleCov& rc : map.rules)
-                if (rc.name == name) {
-                    rc.commits = v.at(0).as_u64();
-                    rc.aborts = v.at(1).as_u64();
-                    break;
-                }
-    auto fill_bits = [&](const char* key, bool is_rise) {
-        const koika::obs::Json* arr = j.find(key);
-        if (arr == nullptr)
-            return;
-        for (size_t r = 0; r < arr->size() && r < map.regs.size();
-             ++r) {
-            const koika::obs::Json& a = arr->at(r);
-            std::vector<uint64_t>& dst =
-                is_rise ? map.regs[r].rise : map.regs[r].fall;
-            for (size_t b = 0; b < a.size() && b < dst.size(); ++b)
-                dst[b] = a.at(b).as_u64();
-        }
-    };
-    fill_bits("rise", true);
-    fill_bits("fall", false);
-    return map;
-}
-
-/**
- * The compiled engine: emit the model, compile it out-of-process, run
- * the real binary. A plain --stats= run times a silent driver (no
- * instrumentation, no output — the benchmark configuration). With
- * --trace= or --coverage= the model is emitted instrumented and driven
- * by an observing driver whose stdout cuttlec replays into the same
- * artifacts an interpreter run writes.
- */
-int
-simulate_compiled(const koika::Design& design, uint64_t cycles,
-                  const RunOutputs& out, const std::string& cxxflags,
-                  const std::string& out_dir,
-                  const std::string& cache_dir)
-{
-    if (!out.vcd.empty())
-        koika::fatal("--vcd= needs an interpreter engine "
-                     "(--engine=T0..T5): waveforms sample committed "
-                     "state in-process every cycle");
-    if (out.wants_replay())
-        koika::fatal("--checkpoint/--restore/--run-to need an "
-                     "in-process engine (--engine=T0..T5 or ref): "
-                     "checkpoints snapshot committed state between "
-                     "cycles");
-
-    bool want_trace = !out.trace.empty();
-    bool want_cov = out.wants_coverage();
-    bool observe = want_trace || want_cov;
-
-    std::string workdir =
-        out_dir.empty() ? "/tmp/cuttlec_run_" + design.name() + "_" +
-                              std::to_string(getpid())
-                        : out_dir;
-    std::string cls = koika::codegen::model_class_name(design);
-
-    koika::codegen::CompileOptions copts;
-    copts.cache.dir = cache_dir;
-
-    if (!observe) {
-        // A silent driver: run N cycles, print nothing (reg dumps would
-        // dominate the timing and the output).
-        std::string driver = "#include <cstdlib>\n#include \"" + cls +
-                             ".model.hpp\"\n"
-                             "int main(int argc, char** argv) {\n"
-                             "    unsigned long n = argc > 1 ? "
-                             "strtoul(argv[1], nullptr, 10) : 1000;\n"
-                             "    cuttlesim::models::" +
-                             cls +
-                             " m;\n"
-                             "    for (unsigned long c = 0; c < n; ++c) "
-                             "m.cycle();\n"
-                             "    return 0;\n"
-                             "}\n";
-        koika::codegen::CompileResult cr =
-            koika::codegen::compile_model_driver(design, workdir,
-                                                 driver, cxxflags,
-                                                 copts);
-        double wall = koika::codegen::time_binary(
-            cr.binary, std::to_string(cycles));
-
-        koika::obs::SimStats stats;
-        stats.design = design.name();
-        stats.engine = "cuttlesim";
-        stats.cycles = cycles;
-        stats.wall_seconds = wall;
-        stats.extra["compile_seconds"] = cr.compile_seconds;
-        stats.extra["compile_cache_hit"] = cr.cache_hit ? 1 : 0;
-
-        if (!out.stats.empty()) {
-            koika::obs::Json j = stats.to_json();
-            j["compile_metrics"] =
-                koika::codegen::compile_metrics().to_json();
-            write_file(out.stats, j.dump(2) + "\n");
-        }
-        std::cout << stats.to_text()
-                  << koika::codegen::compile_metrics().to_text();
-        return 0;
-    }
-
-    copts.emit.counters = true;
-    copts.emit.abort_reasons = want_trace;
-    copts.emit.coverage = want_cov;
-    koika::codegen::CompileResult cr =
-        koika::codegen::compile_model_driver(
-            design, workdir, observing_driver(design, want_trace,
-                                              want_cov),
-            cxxflags, copts);
-
-    auto t0 = std::chrono::steady_clock::now();
-    std::string output =
-        koika::codegen::run_binary(cr.binary, std::to_string(cycles));
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-
-    // Replay the observing driver's stdout.
-    std::vector<std::string> rule_names;
-    for (int r : design.schedule_order())
-        rule_names.push_back(design.rule(r).name);
-
-    AtomicStream trace_out;
-    std::unique_ptr<koika::obs::TraceWriter> trace;
-    if (want_trace) {
-        trace_out.open(out.trace);
-        trace = std::make_unique<koika::obs::TraceWriter>(
-            trace_out.stream(), rule_names, design.name());
-    }
-
-    koika::obs::SimStats stats;
-    stats.design = design.name();
-    stats.engine = "cuttlesim";
-    stats.cycles = cycles;
-    stats.wall_seconds = wall;
-    stats.extra["compile_seconds"] = cr.compile_seconds;
-    stats.extra["compile_cache_hit"] = cr.cache_hit ? 1 : 0;
-
-    std::istringstream lines(output);
-    std::string line;
-    bool saw_cov = false;
-    while (std::getline(lines, line)) {
-        if (line.rfind("T ", 0) == 0 && trace != nullptr) {
-            std::vector<bool> fired(rule_names.size(), false);
-            std::vector<const char*> reasons(rule_names.size(),
-                                             nullptr);
-            for (size_t r = 0;
-                 r < rule_names.size() && r + 2 < line.size(); ++r) {
-                switch (line[r + 2]) {
-                  case '*': fired[r] = true; break;
-                  case 'g':
-                    reasons[r] = koika::sim::abort_reason_name(
-                        koika::sim::AbortReason::kGuard);
-                    break;
-                  case 'r':
-                    reasons[r] = koika::sim::abort_reason_name(
-                        koika::sim::AbortReason::kReadConflict);
-                    break;
-                  case 'w':
-                    reasons[r] = koika::sim::abort_reason_name(
-                        koika::sim::AbortReason::kWriteConflict);
-                    break;
-                  default: break;
-                }
-            }
-            trace->record_cycle(fired, reasons);
-        } else if (line.rfind("COV ", 0) == 0 && want_cov) {
-            koika::obs::CoverageMap map = parse_compiled_coverage(
-                design, line.substr(4), cycles);
-            stats.coverage = write_coverage_outputs(design, map, out);
-            for (const koika::obs::CoverageMap::RuleCov& rc :
-                 map.rules) {
-                koika::obs::RuleStats rs;
-                rs.name = rc.name;
-                rs.commits = rc.commits;
-                rs.aborts = rc.aborts;
-                stats.rules.push_back(std::move(rs));
-            }
-            saw_cov = true;
-        }
-    }
-    if (trace != nullptr) {
-        trace->finish();
-        trace_out.publish();
-    }
-    if (want_cov && !saw_cov)
-        koika::fatal("compiled run of '%s' produced no COV record "
-                     "(driver output was %zu bytes)",
-                     design.name().c_str(), output.size());
-
-    if (!out.stats.empty()) {
-        koika::obs::Json j = stats.to_json();
-        j["compile_metrics"] =
-            koika::codegen::compile_metrics().to_json();
-        write_file(out.stats, j.dump(2) + "\n");
-    }
-    std::cout << stats.to_text()
-              << koika::codegen::compile_metrics().to_text();
-    return 0;
-}
-
-/**
  * Capture the full simulation state between cycles: committed
  * registers and engine counters (Checkpoint::capture), peripheral
  * state ("env"), coverage-collector accumulators ("coverage"), and the
@@ -952,18 +592,35 @@ capture_system(const koika::Design& design,
     return ck;
 }
 
-/** Run `design` on an in-process engine, writing artifacts as asked. */
+/**
+ * Run `design` on an engine, writing artifacts as asked. When the
+ * compiled model cannot be built (broken flags, wedged toolchain), warn
+ * and fall back to the T5 interpreter tier, setting `engine` to "T5".
+ */
 int
-simulate(const koika::Design& design, const std::string& engine,
-         uint64_t cycles, const RunOutputs& out)
+simulate(const koika::Design& design, std::string& engine,
+         const koika::codegen::DlModelOptions& dlopts, uint64_t cycles,
+         const RunOutputs& out)
 {
-    std::string label = engine_label(engine);
     // Same stimulus routing as fault campaigns and golden runs: rv32
     // designs run the primes program out of magic memories, closed
     // designs run bare.
     koika::obs::ProfScope setup_span("sim/setup");
-    koika::fault::FaultTarget target =
-        make_target_factory(design, engine)();
+    koika::fault::FaultTarget target;
+    try {
+        target = make_target_factory(design, engine, dlopts)();
+    } catch (const koika::FatalError& err) {
+        if (engine != "compiled")
+            throw;
+        std::cerr << "cuttlec: warning: compiled engine failed: "
+                  << err.message() << "\n"
+                  << "cuttlec: warning: falling back to the T5 "
+                     "interpreter tier\n";
+        engine = "T5";
+        target = make_target_factory(design, engine)();
+    }
+    bool compiled = engine == "compiled";
+    std::string label = engine_label(engine);
     koika::sim::Model& model = *target.model;
     auto* rs = dynamic_cast<koika::sim::RuleStatsModel*>(&model);
 
@@ -1110,10 +767,15 @@ simulate(const koika::Design& design, const std::string& engine,
     if (!out.stats.empty()) {
         koika::obs::Json j = stats.to_json();
         j["metrics"] = metrics.to_json();
+        if (compiled)
+            j["compile_metrics"] =
+                koika::codegen::compile_metrics().to_json();
         write_file(out.stats, j.dump(2) + "\n");
     }
     run_metrics().merge_from(metrics);
     std::cout << stats.to_text();
+    if (compiled)
+        std::cout << koika::codegen::compile_metrics().to_text();
     if (interrupted) {
         std::cerr << "cuttlec: interrupted at cycle " << reached
                   << " of " << end << "; artifacts cover the cycles "
@@ -1137,8 +799,9 @@ simulate(const koika::Design& design, const std::string& engine,
 int
 bisect_divergence_cmd(const koika::Design& design,
                       const std::string& engine_a,
-                      const std::string& engine_b, uint64_t cycles,
-                      const std::string& perturb,
+                      const std::string& engine_b,
+                      const koika::codegen::DlModelOptions& dlopts,
+                      uint64_t cycles, const std::string& perturb,
                       const std::string& report_file)
 {
     koika::replay::BisectConfig config;
@@ -1169,9 +832,9 @@ bisect_divergence_cmd(const koika::Design& design,
         };
     }
 
-    auto subject_factory = [&design](const std::string& engine) {
+    auto subject_factory = [&](const std::string& engine) {
         koika::fault::TargetFactory tf =
-            make_target_factory(design, engine);
+            make_target_factory(design, engine, dlopts);
         return [tf]() {
             koika::fault::FaultTarget t = tf();
             koika::replay::Subject s;
@@ -1428,8 +1091,7 @@ main(int argc, char** argv)
     }
 
     koika::sim::Tier tier = koika::sim::Tier::kT5StaticAnalysis;
-    bool compiled_engine = engine == "compiled";
-    if (!compiled_engine && engine != "ref" &&
+    if (engine != "compiled" && engine != "ref" &&
         !parse_tier(engine, &tier)) {
         std::cerr << "cuttlec: unknown engine '" << engine << "'\n";
         return usage();
@@ -1457,25 +1119,23 @@ main(int argc, char** argv)
             return 0;
         }
 
-        if (bisect) {
-            if (bisect_a == "compiled" || bisect_b == "compiled")
-                koika::fatal("--bisect-divergence needs in-process "
-                             "engines (T0..T5 or ref); the compiled "
-                             "engine runs out of process");
+        // The compiled engine participates like any tier: the model is
+        // dlopened into the process (codegen/dlmodel.hpp) with full
+        // instrumentation, so stats, traces, coverage, waveforms,
+        // register pokes and checkpoint-restore all work.
+        // --cxxflags/--cache-dir pick its build flavor; --out keeps the
+        // emitted sources.
+        koika::codegen::DlModelOptions dlopts;
+        dlopts.cxxflags = cxxflags;
+        dlopts.cache.dir = cache_dir;
+        dlopts.workdir = out_dir;
+
+        if (bisect)
             return bisect_divergence_cmd(*design, bisect_a, bisect_b,
-                                         cycles, perturb,
+                                         dlopts, cycles, perturb,
                                          bisect_report);
-        }
 
         if (fault) {
-            // The compiled engine participates like any tier: the
-            // model is dlopened into the process (codegen/dlmodel.hpp)
-            // with full instrumentation, so register pokes, counters,
-            // and checkpoint-restore all work. --cxxflags/--cache-dir
-            // pick its build flavor.
-            koika::codegen::DlModelOptions dlopts;
-            dlopts.cxxflags = cxxflags;
-            dlopts.cache.dir = cache_dir;
             if (!fault_orchestrate.empty())
                 return fault_orchestrate_cmd(
                     *design, engine, fault_orchestrate, fault_seed,
@@ -1488,23 +1148,8 @@ main(int argc, char** argv)
                                   fault_checkpoint, outputs);
         }
 
-        if (outputs.wants_run()) {
-            if (compiled_engine) {
-                try {
-                    return simulate_compiled(*design, cycles, outputs,
-                                             cxxflags, out_dir,
-                                             cache_dir);
-                } catch (const koika::FatalError& err) {
-                    std::cerr
-                        << "cuttlec: warning: compiled engine failed: "
-                        << err.message() << "\n"
-                        << "cuttlec: warning: falling back to the T5 "
-                           "interpreter tier\n";
-                    engine = "T5";
-                }
-            }
-            return simulate(*design, engine, cycles, outputs);
-        }
+        if (outputs.wants_run())
+            return simulate(*design, engine, dlopts, cycles, outputs);
 
         if (instrument) {
             if (out_dir.empty())

@@ -605,8 +605,8 @@ run_injection(const Design& design, TrialContext& context,
 namespace {
 
 /** Per-pool-worker trial state: one warm TrialContext per worker, built
- *  lazily on the worker's own thread and destroyed when the pool batch
- *  ends (harness::WorkerContext lifetime contract). */
+ *  lazily on the worker's own thread and destroyed when parallel_for
+ *  returns (harness::WorkerContext lifetime contract). */
 struct TrialWorkerContext final : harness::WorkerContext
 {
     explicit TrialWorkerContext(const TargetFactory& factory)
@@ -640,49 +640,35 @@ run_injection_range(const Design& design, const TargetFactory& factory,
                     InjectionRecord* records, obs::CoverageMap* coverage,
                     const std::function<void(uint64_t, uint64_t)>& before_item)
 {
+    // One pool item per trial, or per lockstep batch of `batch`
+    // consecutive trials forking from the worker's warm golden.
+    // before_item sees the whole group, so a chaos crash aimed at
+    // injection i fires whichever group i lands in.
     std::atomic<bool> interrupted{false};
-    auto run_one = [&](uint64_t k, TrialContext& trial) {
-        if (shutdown_requested()) {
-            interrupted.store(true);
-            return;
-        }
-        if (before_item)
-            before_item(k, 1);
-        records[k] = run_injection(design, trial, faults[first + k],
-                                   cycles, coverage ? &coverage[k] : nullptr);
-    };
-    if (batch > 1) {
-        // Batched lanes: one lockstep batch per pool item, forking from
-        // the worker's warm golden. before_item sees the whole group,
-        // so a chaos crash aimed at injection i fires whichever group i
-        // lands in.
-        auto run_group = [&](uint64_t k0, uint64_t n,
-                             harness::WorkerContext* ctx) {
+    bool batched = batch > 1;
+    harness::ParallelOptions options;
+    options.group = batched ? (uint64_t)batch : 1;
+    options.context = trial_context_factory(factory);
+    harness::parallel_for(
+        (uint64_t)count, jobs,
+        [&](const harness::Shard& s) {
             if (shutdown_requested()) {
                 interrupted.store(true);
                 return;
             }
             if (before_item)
-                before_item(k0, n);
-            run_injection_batch(design, trial_of(ctx), &faults[first + k0],
-                                (size_t)n, cycles, &records[k0],
-                                coverage ? &coverage[k0] : nullptr);
-        };
-        harness::parallel_for_groups_ctx((uint64_t)count, (uint64_t)batch,
-                                         jobs, trial_context_factory(factory),
-                                         run_group);
-    } else if (jobs == 1) {
-        // Serial fast path: no pool, one warm context on this thread.
-        TrialContext trial(factory);
-        for (uint64_t k = 0; k < (uint64_t)count; ++k)
-            run_one(k, trial);
-    } else {
-        harness::parallel_for_ctx(
-            (uint64_t)count, jobs, trial_context_factory(factory),
-            [&](uint64_t k, harness::WorkerContext* ctx) {
-                run_one(k, trial_of(ctx));
-            });
-    }
+                before_item(s.first, s.count);
+            TrialContext& trial = trial_of(s.context);
+            obs::CoverageMap* cov = coverage ? &coverage[s.first] : nullptr;
+            if (batched)
+                run_injection_batch(design, trial, &faults[first + s.first],
+                                    (size_t)s.count, cycles,
+                                    &records[s.first], cov);
+            else
+                records[s.first] = run_injection(
+                    design, trial, faults[first + s.first], cycles, cov);
+        },
+        options);
     return !interrupted.load();
 }
 
@@ -797,55 +783,31 @@ run_campaign(const Design& design, const TargetFactory& factory,
             std::fprintf(stderr, "\n");
     };
 
+    // The heartbeat counts injections as their pool item starts.
+    auto count_started = [&done](uint64_t, uint64_t n) {
+        done.fetch_add(n, std::memory_order_relaxed);
+    };
     try {
         while (completed < faults.size()) {
-            // Graceful shutdown: stop at the chunk boundary — progress
-            // up to here is already flushed to the checkpoint file, so
-            // the campaign resumes exactly where it left off.
-            if (shutdown_requested()) {
-                report.interrupted = true;
-                break;
-            }
             size_t end = std::min(completed + chunk, faults.size());
-            size_t lanes = (size_t)std::max(config.batch, 1);
             // Each pool worker carries one warm TrialContext for the
             // whole chunk: the golden/faulted pair is built (and, for
             // compiled engines, the cache probed) once per worker, and
             // every later trial restores the pristine cycle-0 snapshot
             // in place. Restore reproduces construction exactly, so the
             // records and coverage stay byte-identical to --jobs=1.
-            if (lanes <= 1) {
-                harness::parallel_for_ctx(
-                    end - completed, config.jobs,
-                    trial_context_factory(factory),
-                    [&](uint64_t k, harness::WorkerContext* ctx) {
-                        size_t i = completed + k;
-                        report.injections[i] = run_injection(
-                            design, trial_of(ctx), faults[i],
-                            config.cycles,
-                            config.collect_coverage ? &shard_cov[i]
-                                                    : nullptr);
-                        done.fetch_add(1, std::memory_order_relaxed);
-                    });
-            } else {
-                // Batched execution: consecutive faults share one
-                // lockstep batch, one batch per pool item. Records and
-                // per-injection coverage land in the same slots as the
-                // scalar path, so the report and database stay
-                // byte-identical at any (batch, jobs).
-                harness::parallel_for_groups_ctx(
-                    end - completed, lanes, config.jobs,
-                    trial_context_factory(factory),
-                    [&](uint64_t first, uint64_t n,
-                        harness::WorkerContext* ctx) {
-                        size_t i = completed + first;
-                        run_injection_batch(
-                            design, trial_of(ctx), &faults[i], (size_t)n,
-                            config.cycles, &report.injections[i],
-                            config.collect_coverage ? &shard_cov[i]
-                                                    : nullptr);
-                        done.fetch_add(n, std::memory_order_relaxed);
-                    });
+            // Graceful shutdown discards the interrupted chunk: progress
+            // up to its start is already flushed to the checkpoint file,
+            // so the campaign resumes exactly there.
+            if (!run_injection_range(
+                    design, factory, faults, completed, end - completed,
+                    config.cycles, config.jobs, config.batch,
+                    &report.injections[completed],
+                    config.collect_coverage ? &shard_cov[completed]
+                                            : nullptr,
+                    count_started)) {
+                report.interrupted = true;
+                break;
             }
             // Fold per-injection maps in fault-list order after the
             // join; merge() is commutative addition, so the database

@@ -150,8 +150,8 @@ using TargetFactory = std::function<FaultTarget()>;
  * drops them, and poison() drops everything after an escaped exception.
  *
  * Not thread-safe: one TrialContext per pool worker
- * (harness::WorkerContext hooks), living exactly as long as one run()
- * batch.
+ * (harness::WorkerContext hooks), living exactly as long as one
+ * harness::parallel_for call.
  */
 class TrialContext
 {
@@ -412,13 +412,15 @@ void run_injection_batch(const Design& design, TrialContext& context,
                          obs::CoverageMap* coverage = nullptr);
 
 /**
- * Run the slice faults[first, first + count) through exactly the
- * scalar / thread-sharded / batched dispatch run_campaign uses, writing
+ * Run the slice faults[first, first + count) through the campaign
+ * dispatch: one harness::parallel_for over `jobs` workers, each with a
+ * warm TrialContext, one pool item per injection (run_injection) or per
+ * lockstep batch of `batch` injections (run_injection_batch). Writes
  * into records[0..count) (and coverage[0..count) when non-null; both
- * indexed relative to the slice). This is the unit of work an
- * orchestrator worker executes per leased chunk — sharing it with the
- * in-process paths is what keeps the orchestrated report byte-identical
- * to the single-process run by construction.
+ * indexed relative to the slice). This is the unit of work run_campaign
+ * executes per chunk and an orchestrator worker per leased chunk —
+ * sharing it is what keeps the orchestrated report byte-identical to
+ * the single-process run by construction.
  *
  * Returns false when a shutdown signal (base/signal.hpp) interrupted
  * the slice; records past the interruption are default-initialized and
@@ -435,16 +437,14 @@ bool run_injection_range(
     const std::function<void(uint64_t, uint64_t)>& before_item = {});
 
 /**
- * Run a whole campaign: generate_faults, then run_injection per fault,
- * sharded across config.jobs worker threads (src/harness/parallel.hpp;
- * injections stay in fault-list order, so the report matches a serial
- * run byte for byte). Each pool worker owns one warm TrialContext for
- * the whole campaign (harness per-worker context hooks), so model
- * construction is paid per worker, not per trial. With config.batch >
- * 1, consecutive faults are packed into lockstep batches
- * (run_injection_batch) and each pool worker drives one whole batch;
- * records and coverage land in the same slots, so the report stays
- * byte-identical at any (batch, jobs).
+ * Run a whole campaign: generate_faults, then run_injection_range over
+ * the fault list, one chunk of config.checkpoint_every injections at a
+ * time with a checkpoint file, else in one chunk. Injections stay in
+ * fault-list order, so the report matches a serial run byte for byte
+ * at any (batch, jobs). Each pool worker owns one warm TrialContext per
+ * chunk, so model construction is paid per worker, not per trial. A
+ * shutdown signal discards the chunk in flight and sets
+ * report.interrupted.
  */
 CampaignReport run_campaign(const Design& design,
                             const TargetFactory& factory,

@@ -204,99 +204,46 @@ ThreadPool::run(uint64_t n,
 }
 
 void
-ThreadPool::run(uint64_t n, const ContextFactory& make,
-                const std::function<void(uint64_t, int, WorkerContext*)>&
-                    fn)
-{
-    // Contexts are created lazily on each worker's own thread (inside
-    // its first item's "pool/item" span, so construction cost is
-    // attributed to that worker's lane) and destroyed when this frame
-    // unwinds — exactly one run() batch, even on rethrow. Worker w is
-    // the only writer of slot w while the batch is in flight, and the
-    // pool's join synchronizes the slots back to this thread.
-    std::vector<std::unique_ptr<WorkerContext>> contexts((size_t)jobs_);
-    run(n, [&](uint64_t item, int worker) {
-        std::unique_ptr<WorkerContext>& slot = contexts[(size_t)worker];
-        if (slot == nullptr && make != nullptr)
-            slot = make(worker);
-        fn(item, worker, slot.get());
-    });
-}
-
-void
 parallel_for(uint64_t n, int jobs,
-             const std::function<void(uint64_t)>& fn)
+             const std::function<void(const Shard&)>& fn,
+             const ParallelOptions& options)
 {
+    uint64_t group = std::max<uint64_t>(options.group, 1);
+    uint64_t groups = n / group + (n % group != 0);
     ThreadPool pool(jobs);
-    pool.run(n, [&fn](uint64_t item, int) { fn(item); });
-}
-
-void
-parallel_for_groups(uint64_t n, uint64_t group, int jobs,
-                    const std::function<void(uint64_t, uint64_t)>& fn)
-{
-    if (group < 1)
-        group = 1;
-    uint64_t groups = (n + group - 1) / group;
-    ThreadPool pool(jobs);
-    pool.run(groups, [&fn, n, group](uint64_t g, int) {
-        uint64_t first = g * group;
-        fn(first, std::min(group, n - first));
-    });
-}
-
-void
-parallel_for_metrics(
-    uint64_t n, int jobs, obs::MetricsRegistry& merged,
-    const std::function<void(uint64_t, obs::MetricsRegistry&)>& fn)
-{
-    ThreadPool pool(jobs);
-    std::vector<obs::MetricsRegistry> shards((size_t)pool.jobs());
-    // run() captures per-item failures and rethrows the lowest-indexed
-    // one after every item has executed — but the shards hold the
-    // counters of everything that DID finish. Merge before rethrowing
-    // so a failed campaign still reports accurate trial/* metrics.
+    // Worker w is the only writer of slot w while the pool runs, and
+    // the pool's join synchronizes the slots back to this thread.
+    // Contexts are built inside the worker's first "pool/item" span, so
+    // their cost lands on that worker's lane, and are destroyed when
+    // this frame unwinds.
+    std::vector<std::unique_ptr<WorkerContext>> contexts(
+        (size_t)pool.jobs());
+    std::vector<obs::MetricsRegistry> shards(
+        options.metrics != nullptr ? (size_t)pool.jobs() : 0);
     std::exception_ptr failure;
     try {
-        pool.run(n, [&fn, &shards](uint64_t item, int worker) {
-            fn(item, shards[(size_t)worker]);
+        pool.run(groups, [&](uint64_t g, int worker) {
+            std::unique_ptr<WorkerContext>& ctx = contexts[(size_t)worker];
+            if (ctx == nullptr && options.context != nullptr)
+                ctx = options.context(worker);
+            Shard shard;
+            shard.first = g * group;
+            shard.count = std::min(group, n - shard.first);
+            shard.context = ctx.get();
+            if (options.metrics != nullptr)
+                shard.metrics = &shards[(size_t)worker];
+            fn(shard);
         });
     } catch (...) {
         failure = std::current_exception();
     }
-    {
+    if (options.metrics != nullptr) {
         obs::ProfScope span("pool/merge");
         for (const obs::MetricsRegistry& shard : shards)
-            merged.merge_from(shard);
+            options.metrics->merge_from(shard);
     }
     if (failure != nullptr)
         std::rethrow_exception(failure);
-}
-
-void
-parallel_for_ctx(uint64_t n, int jobs, const ContextFactory& make,
-                 const std::function<void(uint64_t, WorkerContext*)>& fn)
-{
-    ThreadPool pool(jobs);
-    pool.run(n, make, [&fn](uint64_t item, int, WorkerContext* ctx) {
-        fn(item, ctx);
-    });
-}
-
-void
-parallel_for_groups_ctx(
-    uint64_t n, uint64_t group, int jobs, const ContextFactory& make,
-    const std::function<void(uint64_t, uint64_t, WorkerContext*)>& fn)
-{
-    if (group < 1)
-        group = 1;
-    uint64_t groups = (n + group - 1) / group;
-    ThreadPool pool(jobs);
-    pool.run(groups, make,
-             [&fn, n, group](uint64_t g, int, WorkerContext* ctx) {
-                 uint64_t first = g * group;
-                 fn(first, std::min(group, n - first), ctx);
-             });
 }
 
 } // namespace koika::harness

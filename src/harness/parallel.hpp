@@ -38,12 +38,12 @@ namespace koika::harness {
 
 /**
  * Base class for per-worker state that outlives a single item but not a
- * run() batch: warm fault-trial model pairs (fault::TrialContext),
- * opened compile-cache handles, scratch arenas. The pool creates one
+ * parallel_for call: warm fault-trial model pairs (fault::TrialContext),
+ * opened compile-cache handles, scratch arenas. parallel_for creates one
  * lazily per worker (on the worker's own thread, the first time that
- * worker receives an item) and destroys all of them when run() returns
- * — contexts live exactly as long as one run() batch, so state can
- * never leak across campaigns that happen to reuse a pool.
+ * worker receives an item) and destroys all of them before it returns
+ * — contexts live exactly as long as one call, so state can never leak
+ * across campaigns.
  */
 class WorkerContext
 {
@@ -103,77 +103,52 @@ class ThreadPool
     void run(uint64_t n,
              const std::function<void(uint64_t item, int worker)>& fn);
 
-    /**
-     * run() with per-worker contexts: worker w's context is created by
-     * make(w) on w's own thread just before its first item, passed to
-     * every fn(item, w, ctx) on that worker, and destroyed (all
-     * workers') when this call returns — normally or by rethrow. A
-     * null `make` passes nullptr contexts. Item→worker sharding,
-     * ordering, and the lowest-index error contract are unchanged, so
-     * any fn whose observable output does not depend on context reuse
-     * (the fault trial-loop restore contract) produces byte-identical
-     * results to the context-free overload.
-     */
-    void run(uint64_t n, const ContextFactory& make,
-             const std::function<void(uint64_t item, int worker,
-                                      WorkerContext* ctx)>& fn);
-
   private:
     struct Impl;
     Impl* impl_;
     int jobs_;
 };
 
+/** One parallel_for body call: a group of items and its worker's state. */
+struct Shard
+{
+    /** Items [first, first + count): `count` is ParallelOptions::group
+     *  except for a short last group. */
+    uint64_t first = 0;
+    uint64_t count = 1;
+    /** The worker's context (ParallelOptions::context), else nullptr. */
+    WorkerContext* context = nullptr;
+    /** The worker's private metrics shard (when ParallelOptions::metrics
+     *  is set), else nullptr. */
+    obs::MetricsRegistry* metrics = nullptr;
+};
+
+struct ParallelOptions
+{
+    /** Items per body call. Groups are contiguous index ranges, so a
+     *  caller's per-item result slots fill exactly as a serial run's
+     *  would; one group is, e.g., one lockstep fault batch. */
+    uint64_t group = 1;
+    /** Per-worker context factory (may be empty: no contexts). */
+    ContextFactory context;
+    /** When set, each worker fills a private registry, and the shards
+     *  are folded into this one in worker order at join — before a
+     *  failure is rethrown, so a failed campaign still reports the
+     *  counters of the work that did finish. */
+    obs::MetricsRegistry* metrics = nullptr;
+};
+
 /**
- * One-shot sharded loop: fn(i) for i in [0, n) across `jobs` threads
- * (static sharding as in ThreadPool::run). Convenience wrapper that
- * builds a transient pool; hot callers reuse a ThreadPool.
+ * The sharded loop: fn runs once per group of `options.group`
+ * consecutive items of [0, n), group g on worker (g % jobs) of a
+ * transient ThreadPool (static sharding, increasing order per worker,
+ * inline on the calling thread when jobs == 1). Worker contexts are
+ * created lazily on their worker's thread and destroyed before this
+ * returns, normally or by rethrow. Rethrows the lowest-indexed group's
+ * exception after every group ran (ThreadPool::run's contract).
  */
 void parallel_for(uint64_t n, int jobs,
-                  const std::function<void(uint64_t item)>& fn);
-
-/**
- * Sharded loop over contiguous groups: items [0, n) are cut into
- * ceil(n / group) consecutive groups of `group` items (the last group
- * may be short) and fn(first, count) runs once per group, group g on
- * worker (g % jobs). This is the batched-execution shard shape: each
- * pool worker drives one whole lockstep batch (src/fault/batch.cpp),
- * and because groups are contiguous index ranges the caller's
- * per-item result slots are filled exactly as a serial run would.
- */
-void parallel_for_groups(
-    uint64_t n, uint64_t group, int jobs,
-    const std::function<void(uint64_t first, uint64_t count)>& fn);
-
-/**
- * Sharded loop with per-worker metrics: fn(i, registry) writes into its
- * worker's private registry; at join the shards are folded into
- * `merged` in worker order (deterministic merge). If items threw, the
- * completed shards are still merged before the lowest-indexed failure
- * is rethrown, so a failed campaign reports accurate counters for the
- * work that did finish.
- */
-void parallel_for_metrics(
-    uint64_t n, int jobs, obs::MetricsRegistry& merged,
-    const std::function<void(uint64_t item, obs::MetricsRegistry& metrics)>&
-        fn);
-
-/**
- * parallel_for with per-worker contexts (ThreadPool::run context
- * overload): one make(worker) per worker that receives items, contexts
- * destroyed at return.
- */
-void parallel_for_ctx(
-    uint64_t n, int jobs, const ContextFactory& make,
-    const std::function<void(uint64_t item, WorkerContext* ctx)>& fn);
-
-/**
- * parallel_for_groups with per-worker contexts: group g runs on worker
- * (g % jobs) with that worker's context.
- */
-void parallel_for_groups_ctx(
-    uint64_t n, uint64_t group, int jobs, const ContextFactory& make,
-    const std::function<void(uint64_t first, uint64_t count,
-                             WorkerContext* ctx)>& fn);
+                  const std::function<void(const Shard&)>& fn,
+                  const ParallelOptions& options = {});
 
 } // namespace koika::harness

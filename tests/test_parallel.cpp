@@ -1,6 +1,7 @@
 // The deterministic work-sharding harness (src/harness/parallel.hpp):
 // static sharding, inline serial degeneration, exception surfacing,
-// jobs-independent seed derivation, and the per-worker metrics merge.
+// jobs-independent seed derivation, group sharding, per-worker
+// contexts, and the per-worker metrics merge.
 
 #include <gtest/gtest.h>
 
@@ -41,7 +42,7 @@ TEST(ParallelFor, VisitsEveryItemExactlyOnce)
 {
     for (int jobs : {1, 2, 8}) {
         std::vector<std::atomic<int>> visits(100);
-        parallel_for(100, jobs, [&](uint64_t i) { visits[i]++; });
+        parallel_for(100, jobs, [&](const Shard& s) { visits[s.first]++; });
         for (auto& v : visits)
             EXPECT_EQ(v.load(), 1) << "jobs=" << jobs;
     }
@@ -49,7 +50,28 @@ TEST(ParallelFor, VisitsEveryItemExactlyOnce)
 
 TEST(ParallelFor, ZeroItemsIsANoOp)
 {
-    parallel_for(0, 4, [&](uint64_t) { FAIL(); });
+    parallel_for(0, 4, [&](const Shard&) { FAIL(); });
+}
+
+TEST(ParallelFor, GroupsAreContiguousWithAShortLastGroup)
+{
+    for (int jobs : {1, 3}) {
+        std::vector<std::atomic<int>> visits(10);
+        std::vector<std::pair<uint64_t, uint64_t>> groups(3);
+        parallel_for(
+            10, jobs,
+            [&](const Shard& s) {
+                groups[s.first / 4] = {s.first, s.count};
+                for (uint64_t i = s.first; i < s.first + s.count; ++i)
+                    visits[i]++;
+            },
+            {.group = 4});
+        for (auto& v : visits)
+            EXPECT_EQ(v.load(), 1) << "jobs=" << jobs;
+        EXPECT_EQ(groups[0], std::make_pair(uint64_t{0}, uint64_t{4}));
+        EXPECT_EQ(groups[1], std::make_pair(uint64_t{4}, uint64_t{4}));
+        EXPECT_EQ(groups[2], std::make_pair(uint64_t{8}, uint64_t{2}));
+    }
 }
 
 TEST(ThreadPool, StaticShardingItemToWorkerIsIModJobs)
@@ -120,15 +142,15 @@ TEST(ThreadPool, RethrowsLowestItemsExceptionLikeASerialRun)
 
 TEST(ParallelForMetrics, MergedCountersMatchSerialTally)
 {
-    auto work = [](uint64_t i, obs::MetricsRegistry& m) {
-        m.inc("items");
-        m.inc("weighted", i);
-        m.observe("value", (double)(i % 5));
+    auto work = [](const Shard& s) {
+        s.metrics->inc("items");
+        s.metrics->inc("weighted", s.first);
+        s.metrics->observe("value", (double)(s.first % 5));
     };
     obs::MetricsRegistry serial;
-    parallel_for_metrics(40, 1, serial, work);
+    parallel_for(40, 1, work, {.metrics = &serial});
     obs::MetricsRegistry sharded;
-    parallel_for_metrics(40, 8, sharded, work);
+    parallel_for(40, 8, work, {.metrics = &sharded});
     EXPECT_EQ(serial.to_json().dump(2), sharded.to_json().dump(2));
     EXPECT_EQ(sharded.counter("items"), 40u);
     EXPECT_EQ(sharded.counter("weighted"), (uint64_t)40 * 39 / 2);
@@ -166,7 +188,7 @@ TEST(MetricsMerge, MergingAnEmptyRegistryIsIdentity)
 // -- Per-worker contexts (WorkerContext/ContextFactory): the hooks the
 // warm fault-trial loop hangs its per-worker state on. Contexts must be
 // created lazily on the owning worker, be stable for every item that
-// worker handles, and live exactly as long as one run() batch.
+// worker handles, and live exactly as long as one parallel_for call.
 
 namespace {
 
@@ -190,15 +212,16 @@ TEST(ThreadPool, ContextsLiveExactlyOneRunBatch)
         created++;
         return std::make_unique<CountingContext>(&live);
     };
-    ThreadPool pool(3);
     for (int round = 0; round < 2; ++round) {
-        pool.run(12, make,
-                 [&](uint64_t, int, WorkerContext* ctx) {
-                     ASSERT_NE(ctx, nullptr);
-                     EXPECT_GE(live.load(), 1);
-                 });
-        // Teardown happens before run() returns — never later: a
-        // context may pin a whole model pair, and the next batch may
+        parallel_for(
+            12, 3,
+            [&](const Shard& s) {
+                ASSERT_NE(s.context, nullptr);
+                EXPECT_GE(live.load(), 1);
+            },
+            {.context = make});
+        // Teardown happens before parallel_for returns — never later:
+        // a context may pin a whole model pair, and the next call may
         // use a different factory.
         EXPECT_EQ(live.load(), 0) << "round " << round;
     }
@@ -209,13 +232,12 @@ TEST(ThreadPool, ContextsLiveExactlyOneRunBatch)
 TEST(ThreadPool, EachWorkerSeesOneStableContextPerRun)
 {
     std::atomic<int> live{0};
-    ThreadPool pool(4);
     std::vector<WorkerContext*> ctx_of(40, nullptr);
-    pool.run(40,
-             [&](int) { return std::make_unique<CountingContext>(&live); },
-             [&](uint64_t i, int, WorkerContext* ctx) {
-                 ctx_of[i] = ctx;
-             });
+    parallel_for(
+        40, 4, [&](const Shard& s) { ctx_of[s.first] = s.context; },
+        {.context = [&](int) {
+             return std::make_unique<CountingContext>(&live);
+         }});
     // Static sharding: item i belongs to worker i % 4, and every item
     // of a worker saw the same context object.
     for (uint64_t i = 0; i < 40; ++i) {
@@ -230,15 +252,17 @@ TEST(ThreadPool, EachWorkerSeesOneStableContextPerRun)
 TEST(ThreadPool, SerialContextRunStaysInlineAndTearsDown)
 {
     std::atomic<int> live{0};
-    ThreadPool pool(1);
     std::thread::id caller = std::this_thread::get_id();
     bool inline_run = false;
-    pool.run(5,
-             [&](int) { return std::make_unique<CountingContext>(&live); },
-             [&](uint64_t, int, WorkerContext* ctx) {
-                 ASSERT_NE(ctx, nullptr);
-                 inline_run = std::this_thread::get_id() == caller;
-             });
+    parallel_for(
+        5, 1,
+        [&](const Shard& s) {
+            ASSERT_NE(s.context, nullptr);
+            inline_run = std::this_thread::get_id() == caller;
+        },
+        {.context = [&](int) {
+             return std::make_unique<CountingContext>(&live);
+         }});
     EXPECT_TRUE(inline_run);
     EXPECT_EQ(live.load(), 0);
 }
@@ -247,13 +271,15 @@ TEST(ParallelForCtx, ContextsTornDownEvenWhenAnItemThrows)
 {
     std::atomic<int> live{0};
     try {
-        parallel_for_ctx(
+        parallel_for(
             16, 4,
-            [&](int) { return std::make_unique<CountingContext>(&live); },
-            [&](uint64_t i, WorkerContext*) {
-                if (i == 5)
+            [&](const Shard& s) {
+                if (s.first == 5)
                     throw std::runtime_error("item 5");
-            });
+            },
+            {.context = [&](int) {
+                 return std::make_unique<CountingContext>(&live);
+             }});
         FAIL() << "expected an exception";
     } catch (const std::runtime_error& e) {
         EXPECT_STREQ(e.what(), "item 5");
@@ -268,13 +294,15 @@ TEST(ParallelForMetrics, CompletedShardsMergeEvenWhenAnItemThrows)
     obs::MetricsRegistry merged;
     std::atomic<int> ran{0};
     try {
-        parallel_for_metrics(24, 4, merged,
-                             [&](uint64_t i, obs::MetricsRegistry& m) {
-                                 ran++;
-                                 m.inc("trials");
-                                 if (i == 7)
-                                     throw std::runtime_error("item 7");
-                             });
+        parallel_for(
+            24, 4,
+            [&](const Shard& s) {
+                ran++;
+                s.metrics->inc("trials");
+                if (s.first == 7)
+                    throw std::runtime_error("item 7");
+            },
+            {.metrics = &merged});
         FAIL() << "expected an exception";
     } catch (const std::runtime_error& e) {
         EXPECT_STREQ(e.what(), "item 7");

@@ -214,10 +214,11 @@ std::set<std::string>
 phase_keys(int jobs)
 {
     arm();
-    koika::harness::parallel_for(8, jobs, [](uint64_t) {
-        ProfScope s("trial/run");
-        ProfScope nested("trial/setup");
-    });
+    koika::harness::parallel_for(8, jobs,
+                                 [](const koika::harness::Shard&) {
+                                     ProfScope s("trial/run");
+                                     ProfScope nested("trial/setup");
+                                 });
     Profiler::Report rep = Profiler::instance().report();
     std::set<std::string> keys;
     for (const auto& [name, ph] : rep.phases)
