@@ -236,9 +236,8 @@ class BenchReport
 
     /**
      * Bench-authored metrics merged into the report's `metrics` block
-     * alongside the per-entry exports and `prof/...` — how bench_batch
-     * publishes its `batch.*` family (lanes, trials, speedup) into the
-     * same registry the campaign metrics live in.
+     * alongside the per-entry exports and `prof/...` — how bench_e2e
+     * publishes its per-workload gauges into the same registry.
      */
     koika::obs::MetricsRegistry&
     user_metrics()
@@ -300,9 +299,7 @@ report_init(const std::string& name)
 {
     report().set_name(name);
     // Arm the host span profiler so the report's `prof` block is
-    // populated. KOIKA_BENCH_NO_PROF=1 opts out — that is the A/B knob
-    // behind the "profiling disabled costs <2%" overhead claim
-    // (bench_parallel measures both arms).
+    // populated. KOIKA_BENCH_NO_PROF=1 opts out.
     const char* env = std::getenv("KOIKA_BENCH_NO_PROF");
     bool no_prof = env != nullptr && *env != '\0' &&
                    std::string(env) != "0";

@@ -502,7 +502,9 @@ fault_campaign(const koika::Design& design, const std::string& engine,
  */
 int
 fault_orchestrate_cmd(const koika::Design& design,
-                      const std::string& engine, const std::string& dir,
+                      const std::string& engine,
+                      const koika::codegen::DlModelOptions& dlopts,
+                      const std::string& dir,
                       uint64_t seed, int count, uint64_t cycles, int jobs,
                       int batch, int workers, int chunk_size,
                       double worker_timeout,
@@ -513,6 +515,7 @@ fault_orchestrate_cmd(const koika::Design& design,
     config.dir = dir;
     config.design = design.name();
     config.engine = engine;
+    config.dlopts = dlopts;
     config.campaign.seed = seed;
     config.campaign.count = count;
     config.campaign.cycles = cycles;
@@ -1138,7 +1141,7 @@ main(int argc, char** argv)
         if (fault) {
             if (!fault_orchestrate.empty())
                 return fault_orchestrate_cmd(
-                    *design, engine, fault_orchestrate, fault_seed,
+                    *design, engine, dlopts, fault_orchestrate, fault_seed,
                     fault_count, cycles, jobs, batch, workers,
                     chunk_size, worker_timeout, max_retries, chaos,
                     fault_report, outputs);

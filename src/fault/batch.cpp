@@ -1,40 +1,38 @@
 /**
  * @file
- * Batched (SIMD-across-trials) execution of fault injections.
+ * The fault-trial loop: every trial is a lane stepping in lockstep
+ * beside one golden run.
  *
- * run_injection steps TWO models per trial — a golden reference and
- * the faulted copy — for the full horizon. Across a campaign every
- * golden run is identical (the factory is deterministic and the golden
- * copy never sees a fault), and every faulted run is identical to its
- * golden run UP TO the injection boundary. A batch exploits both
- * redundancies:
+ * run_injection, run_injection_batch and every campaign pool item run
+ * through run_lanes below. Per cycle the golden advances once; its
+ * abort-count deltas, and its registers while some lane still scans for
+ * divergence, are read once and shared by every lane's detection and
+ * divergence scans; then each live lane advances, is scanned, and is
+ * injected or re-forced at its boundary. A lane starts in one of two
+ * ways:
  *
- *   - one shared golden model advances once per cycle for all N lanes,
- *     and its per-cycle abort-count deltas and register snapshot are
- *     computed once and reused by every lane's detection/divergence
- *     scan;
- *   - each lane forks from the golden's live state at its injection
- *     boundary: registers through get_reg/set_reg, engine counters and
- *     coverage arrays through sim::CheckpointableModel, peripherals
- *     through the target's save_env/load_env, and toggle accumulators
- *     through obs::CoverageCollector::save_state — so pre-injection
- *     cycles are never re-simulated;
- *   - lanes that finish early (the engine faulted on corrupted state)
- *     are masked out GPU-warp style and skipped for the rest of the
- *     batch.
+ *   - at cycle 0, beside the golden: a lone lane (run_injection, a
+ *     --batch=1 campaign) and every lane of a target that cannot be
+ *     forked. A lone trial steps 2*H model cycles over a horizon of H.
+ *   - forked from the golden's live state at its injection boundary C,
+ *     when two or more lanes share the golden and the target is
+ *     forkable (TrialContext::warm): registers through get_reg/set_reg,
+ *     engine counters and coverage arrays through
+ *     sim::CheckpointableModel, peripherals through save_env/load_env,
+ *     toggle accumulators through obs::CoverageCollector::save_state.
+ *     The lane then steps H - C - 1 cycles.
  *
- * Scalar cost per trial is 2*C model-cycles. Batched cost is C/N for
- * the shared golden plus C - spec.cycle for the lane's post-injection
- * suffix (C/2 on average over a uniform fault list) — the source of
- * bench_batch's >= 4x aggregate trials/sec. The records and coverage
- * maps are byte-identical to run_injection's at any lane count: the
- * per-cycle order of events (advance, detection scan, divergence scan,
- * inject/re-force at the boundary) is exactly run_injection's, the
- * forked state is exactly the state the scalar faulted run reaches at
- * the same boundary, and the collector samples at the same points.
- * Engines that are not checkpointable — or targets whose peripherals
- * cannot be serialized — fall back to running their lanes from cycle 0
- * against the shared golden: slower, still byte-identical.
+ * A lone lane is not forked: the fork copies state through
+ * serialization, and on the compiled engine, where the model is under
+ * half of trial time, skipping the prefix bought nothing measurable
+ * (ROADMAP item 1 makes the copy a memcpy).
+ *
+ * A lane whose engine faults is masked out for the rest of the batch;
+ * once every lane is, the golden stops too. Records and coverage maps
+ * are the same bytes however a lane started and at any lane count:
+ * tests/test_fault_batch.cpp checks them against an independent
+ * two-model oracle. bench_e2e's campaign-batch workload measures what
+ * sharing the golden buys.
  */
 #include <memory>
 #include <optional>
@@ -79,11 +77,10 @@ inject(sim::Model& model, const FaultSpec& spec)
 /** One trial instance advancing in lockstep with the shared golden. */
 struct Lane
 {
-    FaultSpec spec;
     InjectionRecord rec;
 
-    /** Live once the lane has its own model (fallback lanes from cycle
-     *  0, forked lanes from their injection boundary). */
+    /** Live once the lane has its own model (from cycle 0, or from its
+     *  injection boundary when forked). */
     FaultTarget target;
     bool live = false;
     /** Masked out (engine fault); skipped for the rest of the batch. */
@@ -91,31 +88,30 @@ struct Lane
     /** Never instantiated: the fault never fires within the horizon,
      *  so the lane is the golden run by definition. */
     bool shadow = false;
-    /** Runs from cycle 0 instead of forking at the boundary. */
-    bool from_start = false;
 
     bool injected = false;
-    bool engine_fault = false;
 
     sim::RuleStatsModel* stats = nullptr;
     std::unique_ptr<obs::CoverageCollector> collector;
-    std::vector<uint64_t> fprev, fprev_r;
+    std::vector<uint64_t> prev_aborts, prev_reasons;
 };
 
-/** The batch body; callers wrap it to guarantee context poisoning on an
+/** The trial loop; callers wrap it to guarantee context poisoning on an
  *  escaped exception. */
 void
-run_injection_batch_in(const Design& design, TrialContext& ctx,
-                       const FaultSpec* specs, size_t count,
-                       uint64_t cycles, InjectionRecord* records,
-                       obs::CoverageMap* coverage)
+run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
+          size_t count, uint64_t cycles, InjectionRecord* records,
+          obs::CoverageMap* coverage)
 {
-    // -- Pack: the shared golden plus the lanes that cannot fork ------------
-    std::optional<obs::ProfScope> pack_span;
-    pack_span.emplace("batch/pack");
+    // A lone lane is a scalar trial: one trial/setup and one trial/run
+    // span, no per-cycle spans. A batch reports batch/pack, a
+    // batch/step per cycle and batch/unpack.
+    const bool lone = count == 1;
+    std::optional<obs::ProfScope> phase;
+    phase.emplace(lone ? "trial/setup" : "batch/pack");
 
     // The context's golden arrives in pristine cycle-0 state: freshly
-    // built on the worker's first batch, restored in place afterwards.
+    // built on the worker's first trial, restored in place afterwards.
     FaultTarget& golden = ctx.golden();
     auto* gstats = dynamic_cast<sim::RuleStatsModel*>(golden.model.get());
     auto* gckpt =
@@ -123,18 +119,27 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
     // Forking needs the engine's auxiliary state (counters, coverage
     // arrays) and the peripherals' state to be serializable; a target
     // with live peripherals (context) but no env hooks cannot move
-    // them, so its lanes run from cycle 0 instead. ctx.warm() is this
-    // exact condition evaluated on the same factory's output.
-    bool forkable = ctx.warm();
+    // them. ctx.warm() is this exact condition evaluated on the same
+    // factory's output.
+    const bool fork = !lone && ctx.warm();
 
     // The golden's collector exists to seed forked lanes (its state at
     // any boundary is exactly what a faulted run's collector holds
-    // there) and to stand in for never-injected shadow lanes. Sampling
-    // it every cycle mirrors the scalar faulted run's sampling points.
+    // there) and to stand in for never-injected shadow lanes, so it is
+    // only built when lanes fork.
     std::unique_ptr<obs::CoverageCollector> gcollector;
-    if (coverage != nullptr)
+    if (coverage != nullptr && fork)
         gcollector = std::make_unique<obs::CoverageCollector>(
             design, *golden.model);
+
+    auto start_counters = [&](Lane& lane) {
+        lane.stats =
+            dynamic_cast<sim::RuleStatsModel*>(lane.target.model.get());
+        if (gstats != nullptr && lane.stats != nullptr) {
+            lane.prev_aborts = lane.stats->rule_abort_counts();
+            lane.prev_reasons = lane.stats->rule_abort_reason_counts();
+        }
+    };
 
     size_t nregs = design.num_registers();
     std::vector<Lane> lanes(count);
@@ -143,32 +148,25 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
         KOIKA_CHECK(spec.reg >= 0 &&
                     (size_t)spec.reg < design.num_registers());
         Lane& lane = lanes[l];
-        lane.spec = spec;
         lane.rec.spec = spec;
         lane.rec.reg_name = design.reg(spec.reg).name;
-        if (forkable && spec.cycle >= cycles) {
-            lane.shadow = true;
-        } else if (!forkable) {
-            lane.from_start = true;
-            lane.target = ctx.acquire();
-            lane.live = true;
-            lane.stats = dynamic_cast<sim::RuleStatsModel*>(
-                lane.target.model.get());
-            if (coverage != nullptr)
-                lane.collector =
-                    std::make_unique<obs::CoverageCollector>(
-                        design, *lane.target.model);
-            if (gstats != nullptr && lane.stats != nullptr) {
-                lane.fprev = lane.stats->rule_abort_counts();
-                lane.fprev_r = lane.stats->rule_abort_reason_counts();
-            }
+        if (fork) {
+            lane.shadow = spec.cycle >= cycles;
+            continue;
         }
+        lane.target = ctx.acquire();
+        lane.live = true;
+        // Built once the target is pristine: the collector's
+        // constructor snapshots registers for toggle detection.
+        if (coverage != nullptr)
+            lane.collector = std::make_unique<obs::CoverageCollector>(
+                design, *lane.target.model);
+        start_counters(lane);
     }
-    pack_span.reset();
 
     // Fork one lane off the golden's live state at the current cycle
-    // boundary. The copied state is byte-for-byte the state the scalar
-    // faulted run holds at the same boundary: identical registers,
+    // boundary. The copied state is byte-for-byte the state a lane run
+    // from cycle 0 holds at the same boundary: identical registers,
     // identical counters/coverage (identical fault-free history), and
     // identical peripherals.
     auto fork_lane = [&](Lane& lane) {
@@ -208,28 +206,32 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
             sim::StateReader r(bytes);
             lane.collector->load_state(r);
         }
-        lane.stats = dynamic_cast<sim::RuleStatsModel*>(
-            lane.target.model.get());
-        if (gstats != nullptr && lane.stats != nullptr) {
-            lane.fprev = lane.stats->rule_abort_counts();
-            lane.fprev_r = lane.stats->rule_abort_reason_counts();
-        }
+        start_counters(lane);
     };
 
     // Per-cycle golden abort deltas, shared by every lane's scan.
-    std::vector<uint64_t> gprev, gprev_r, gdelta, gdelta_r;
+    std::vector<uint64_t> gold_aborts, gold_reasons, abort_delta, reason_delta;
     if (gstats != nullptr) {
-        gprev = gstats->rule_abort_counts();
-        gprev_r = gstats->rule_abort_reason_counts();
-        gdelta.assign(gprev.size(), 0);
-        gdelta_r.assign(gprev_r.size(), 0);
+        gold_aborts = gstats->rule_abort_counts();
+        gold_reasons = gstats->rule_abort_reason_counts();
+        abort_delta.assign(gold_aborts.size(), 0);
+        reason_delta.assign(gold_reasons.size(), 0);
     }
     std::vector<Bits> gregs(nregs);
 
+    if (lone)
+        phase.emplace("trial/run");
+    else
+        phase.reset();
+
     // -- Step: golden once per cycle, live lanes in lockstep ----------------
-    for (uint64_t c = 0; c < cycles; ++c) {
+    // The golden only runs while some lane still needs it.
+    size_t unmasked = count;
+    for (uint64_t c = 0; c < cycles && unmasked > 0; ++c) {
         {
-            obs::ProfScope step_span("batch/step");
+            std::optional<obs::ProfScope> step_span;
+            if (!lone)
+                step_span.emplace("batch/step");
             golden.model->cycle();
             if (golden.stimulus)
                 golden.stimulus(*golden.model, c);
@@ -239,16 +241,15 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
                 const auto& g = gstats->rule_abort_counts();
                 const auto& gr = gstats->rule_abort_reason_counts();
                 for (size_t r = 0; r < g.size(); ++r)
-                    gdelta[r] = g[r] - gprev[r];
+                    abort_delta[r] = g[r] - gold_aborts[r];
                 for (size_t i = 0; i < gr.size(); ++i)
-                    gdelta_r[i] = gr[i] - gprev_r[i];
-                gprev = g;
-                gprev_r = gr;
+                    reason_delta[i] = gr[i] - gold_reasons[i];
+                gold_aborts = g;
+                gold_reasons = gr;
             }
 
             // Snapshot the golden's registers once per cycle, only
-            // when some lane's divergence scan (or injection boundary)
-            // still needs them.
+            // when some lane's divergence scan still needs them.
             bool need_regs = false;
             for (const Lane& lane : lanes)
                 if (lane.live && !lane.masked && lane.injected &&
@@ -275,21 +276,22 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
                     lane.rec.detect_cycle = c;
                     lane.rec.detect_detail =
                         std::string("engine fault: ") + e.what();
-                    lane.engine_fault = true;
                     lane.masked = true;
+                    --unmasked;
                     continue;
                 }
 
-                // Detection: a rule aborted more often than in the
-                // golden run during the same cycle (run_injection's
-                // scan, against the shared golden deltas).
+                // Detection: a rule aborted in the lane more often than
+                // in the golden run during the same cycle — the
+                // design's guards and port discipline noticing bad
+                // state.
                 bool track = gstats != nullptr && lane.stats != nullptr;
                 if (track && lane.injected && !lane.rec.detected) {
                     const auto& f = lane.stats->rule_abort_counts();
                     for (size_t r = 0;
-                         r < gdelta.size() && r < f.size(); ++r) {
-                        uint64_t gd = gdelta[r];
-                        uint64_t fd = f[r] - lane.fprev[r];
+                         r < abort_delta.size() && r < f.size(); ++r) {
+                        uint64_t gd = abort_delta[r];
+                        uint64_t fd = f[r] - lane.prev_aborts[r];
                         if (fd <= gd)
                             continue;
                         lane.rec.detected = true;
@@ -302,11 +304,11 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
                             size_t idx =
                                 r * (size_t)sim::kNumAbortReasons +
                                 (size_t)k;
-                            if (idx >= gdelta_r.size() ||
+                            if (idx >= reason_delta.size() ||
                                 idx >= fr.size())
                                 break;
-                            if (fr[idx] - lane.fprev_r[idx] >
-                                gdelta_r[idx]) {
+                            if (fr[idx] - lane.prev_reasons[idx] >
+                                reason_delta[idx]) {
                                 reason =
                                     std::string(sim::abort_reason_name(
                                         (sim::AbortReason)k)) +
@@ -321,8 +323,8 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
                     }
                 }
                 if (track) {
-                    lane.fprev = lane.stats->rule_abort_counts();
-                    lane.fprev_r =
+                    lane.prev_aborts = lane.stats->rule_abort_counts();
+                    lane.prev_reasons =
                         lane.stats->rule_abort_reason_counts();
                 }
 
@@ -346,31 +348,30 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
         // stimulus ran), before the next cycle starts. Forked lanes
         // come to life here; stuck-at faults re-assert their forced
         // bit for stuck_cycles consecutive boundaries.
-        std::optional<obs::ProfScope> fork_span;
         for (Lane& lane : lanes) {
             if (lane.shadow || lane.masked)
                 continue;
-            if (c == lane.spec.cycle) {
+            const FaultSpec& spec = lane.rec.spec;
+            if (c == spec.cycle) {
                 if (!lane.live) {
-                    fork_span.emplace("batch/pack");
+                    obs::ProfScope fork_span("batch/pack");
                     fork_lane(lane);
-                    fork_span.reset();
                 }
-                inject(*lane.target.model, lane.spec);
+                inject(*lane.target.model, spec);
                 lane.injected = true;
             } else if (lane.injected &&
-                       lane.spec.kind != FaultKind::kBitFlip &&
-                       c > lane.spec.cycle &&
-                       c < lane.spec.cycle + lane.spec.stuck_cycles) {
-                force_bit(*lane.target.model, lane.spec.reg,
-                          lane.spec.bit,
-                          lane.spec.kind == FaultKind::kStuckAt1);
+                       spec.kind != FaultKind::kBitFlip &&
+                       c > spec.cycle &&
+                       c < spec.cycle + spec.stuck_cycles) {
+                force_bit(*lane.target.model, spec.reg, spec.bit,
+                          spec.kind == FaultKind::kStuckAt1);
             }
         }
     }
 
     // -- Unpack: per-trial classification and coverage ----------------------
-    obs::ProfScope unpack_span("batch/unpack");
+    if (!lone)
+        phase.emplace("batch/unpack");
     for (size_t r = 0; r < nregs; ++r)
         gregs[r] = golden.model->get_reg((int)r);
     for (size_t l = 0; l < count; ++l) {
@@ -379,7 +380,7 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
         if (lane.shadow) {
             // The fault never fired: the lane IS the golden run.
             rec.final_state_matches = true;
-        } else if (!lane.engine_fault) {
+        } else if (!lane.masked) {
             rec.final_state_matches = true;
             for (size_t r = 0; r < nregs; ++r) {
                 if (lane.target.model->get_reg((int)r) != gregs[r]) {
@@ -404,10 +405,10 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
                                       : lane.collector->take("");
         records[l] = rec;
         // Retire the lane's model into the context's spare pool so the
-        // next batch (or scalar trial) on this worker reuses it via
-        // restore. Engine-faulted lanes may hold torn state — destroy.
+        // worker's next trial reuses it via restore. Engine-faulted
+        // lanes may hold torn state — destroy.
         if (lane.live)
-            ctx.release(std::move(lane.target), !lane.engine_fault);
+            ctx.release(std::move(lane.target), !lane.masked);
     }
 }
 
@@ -420,12 +421,12 @@ run_injection_batch(const Design& design, TrialContext& context,
                     obs::CoverageMap* coverage)
 {
     try {
-        run_injection_batch_in(design, context, specs, count, cycles,
-                               records, coverage);
+        run_lanes(design, context, specs, count, cycles, records,
+                  coverage);
     } catch (...) {
         // Escaped exceptions (engine faults are handled per lane; this
         // is a harness/setup failure) may leave the golden or spares
-        // mid-cycle — drop them so the next batch rebuilds cleanly.
+        // mid-cycle — drop them so the next trial rebuilds cleanly.
         context.poison();
         throw;
     }
@@ -440,6 +441,26 @@ run_injection_batch(const Design& design, const TargetFactory& factory,
     TrialContext context(factory);
     run_injection_batch(design, context, specs, count, cycles, records,
                         coverage);
+}
+
+InjectionRecord
+run_injection(const Design& design, TrialContext& context,
+              const FaultSpec& spec, uint64_t cycles,
+              obs::CoverageMap* coverage)
+{
+    InjectionRecord rec;
+    run_injection_batch(design, context, &spec, 1, cycles, &rec,
+                        coverage);
+    return rec;
+}
+
+InjectionRecord
+run_injection(const Design& design, const TargetFactory& factory,
+              const FaultSpec& spec, uint64_t cycles,
+              obs::CoverageMap* coverage)
+{
+    TrialContext context(factory);
+    return run_injection(design, context, spec, cycles, coverage);
 }
 
 } // namespace koika::fault

@@ -32,19 +32,6 @@ draw(std::mt19937_64& rng, uint64_t n)
     return n == 0 ? 0 : rng() % n;
 }
 
-void
-force_bit(sim::Model& model, int reg, uint32_t bit, bool value)
-{
-    model.set_reg(reg, model.get_reg(reg).with_bit(bit, value));
-}
-
-void
-flip_bit(sim::Model& model, int reg, uint32_t bit)
-{
-    Bits v = model.get_reg(reg);
-    model.set_reg(reg, v.with_bit(bit, !v.bit(bit)));
-}
-
 } // namespace
 
 obs::Json
@@ -377,231 +364,6 @@ TrialContext::poison()
     spares_.clear();
 }
 
-// -- Scalar trials -----------------------------------------------------------
-
-InjectionRecord
-run_injection(const Design& design, const TargetFactory& factory,
-              const FaultSpec& spec, uint64_t cycles,
-              obs::CoverageMap* coverage)
-{
-    TrialContext context(factory);
-    return run_injection(design, context, spec, cycles, coverage);
-}
-
-namespace {
-
-InjectionRecord
-run_injection_in(const Design& design, TrialContext& ctx,
-                 const FaultSpec& spec, uint64_t cycles,
-                 obs::CoverageMap* coverage)
-{
-    KOIKA_CHECK(spec.reg >= 0 &&
-                (size_t)spec.reg < design.num_registers());
-    InjectionRecord rec;
-    rec.spec = spec;
-    rec.reg_name = design.reg(spec.reg).name;
-
-    // Per-trial setup vs. run split: the ratio of these two phases is
-    // what decides whether parallel campaigns are worth their fork
-    // overhead (ROADMAP item 2). With a warm context, setup is two
-    // in-place restores instead of two model constructions.
-    obs::ProfScope setup_span("trial/setup");
-    FaultTarget& golden = ctx.golden();
-    FaultTarget faulted = ctx.acquire();
-
-    // Coverage is harvested from the faulted run only: the golden copy
-    // exercises nothing an ordinary simulation would not. The collector
-    // is built after the faulted target reached pristine state (its
-    // constructor snapshots registers for toggle detection).
-    std::unique_ptr<obs::CoverageCollector> collector;
-    if (coverage != nullptr)
-        collector = std::make_unique<obs::CoverageCollector>(
-            design, *faulted.model);
-    auto* gstats =
-        dynamic_cast<sim::RuleStatsModel*>(golden.model.get());
-    auto* fstats =
-        dynamic_cast<sim::RuleStatsModel*>(faulted.model.get());
-    bool track = gstats != nullptr && fstats != nullptr;
-
-    // Previous-cycle counter snapshots live in the context: same-size
-    // assigns below reuse their capacity, so the detection loop stops
-    // allocating four vectors per trial (let alone per cycle).
-    std::vector<uint64_t>& gprev = ctx.gprev;
-    std::vector<uint64_t>& fprev = ctx.fprev;
-    std::vector<uint64_t>& gprev_r = ctx.gprev_r;
-    std::vector<uint64_t>& fprev_r = ctx.fprev_r;
-    if (track) {
-        const auto& g0 = gstats->rule_abort_counts();
-        const auto& f0 = fstats->rule_abort_counts();
-        const auto& g0r = gstats->rule_abort_reason_counts();
-        const auto& f0r = fstats->rule_abort_reason_counts();
-        gprev.assign(g0.begin(), g0.end());
-        fprev.assign(f0.begin(), f0.end());
-        gprev_r.assign(g0r.begin(), g0r.end());
-        fprev_r.assign(f0r.begin(), f0r.end());
-    }
-
-    setup_span.close();
-    obs::ProfScope run_span("trial/run");
-
-    bool injected = false;
-    bool engine_fault = false;
-    size_t nregs = design.num_registers();
-    for (uint64_t c = 0; c < cycles; ++c) {
-        golden.model->cycle();
-        if (golden.stimulus)
-            golden.stimulus(*golden.model, c);
-        try {
-            faulted.model->cycle();
-            if (faulted.stimulus)
-                faulted.stimulus(*faulted.model, c);
-            if (collector != nullptr)
-                collector->sample();
-        } catch (const std::exception& e) {
-            // The engine itself tripped over the corrupted state — the
-            // strongest form of detection.
-            rec.detected = true;
-            rec.detect_cycle = c;
-            rec.detect_detail = std::string("engine fault: ") + e.what();
-            engine_fault = true;
-            break;
-        }
-
-        // Detection: a rule aborted in the faulted run more often than
-        // in the golden run during the same cycle — the design's guards
-        // and port discipline noticing bad state.
-        if (track) {
-            // One getter call per counter family per cycle; the prev
-            // refreshes are same-size assigns into context-owned
-            // buffers, so this loop allocates nothing steady-state.
-            const auto& g = gstats->rule_abort_counts();
-            const auto& f = fstats->rule_abort_counts();
-            const auto& gr = gstats->rule_abort_reason_counts();
-            const auto& fr = fstats->rule_abort_reason_counts();
-            if (injected && !rec.detected) {
-                for (size_t r = 0; r < g.size() && r < f.size(); ++r) {
-                    uint64_t gd = g[r] - gprev[r];
-                    uint64_t fd = f[r] - fprev[r];
-                    if (fd <= gd)
-                        continue;
-                    rec.detected = true;
-                    rec.detect_cycle = c;
-                    std::string reason = "abort";
-                    for (int k = 0; k < sim::kNumAbortReasons; ++k) {
-                        size_t idx =
-                            r * (size_t)sim::kNumAbortReasons +
-                            (size_t)k;
-                        if (idx >= gr.size() || idx >= fr.size())
-                            break;
-                        if (fr[idx] - fprev_r[idx] >
-                            gr[idx] - gprev_r[idx]) {
-                            reason = std::string(sim::abort_reason_name(
-                                         (sim::AbortReason)k)) +
-                                     " abort";
-                            break;
-                        }
-                    }
-                    rec.detect_detail = "rule '" +
-                                        gstats->rule_name((int)r) +
-                                        "': excess " + reason;
-                    break;
-                }
-            }
-            gprev.assign(g.begin(), g.end());
-            fprev.assign(f.begin(), f.end());
-            gprev_r.assign(gr.begin(), gr.end());
-            fprev_r.assign(fr.begin(), fr.end());
-        }
-
-        // Divergence scan before (re-)forcing, so it measures what the
-        // fault propagated into, not the forced bit itself.
-        if (injected && !rec.diverged) {
-            for (size_t r = 0; r < nregs; ++r) {
-                if (faulted.model->get_reg((int)r) !=
-                    golden.model->get_reg((int)r)) {
-                    rec.diverged = true;
-                    rec.first_divergence_cycle = c;
-                    rec.first_divergence_reg = (int)r;
-                    break;
-                }
-            }
-        }
-
-        // Injection happens at the cycle boundary: after cycle
-        // spec.cycle committed (and its stimulus ran), before the next
-        // cycle starts. Stuck-at faults re-assert the forced bit for
-        // stuck_cycles consecutive boundaries.
-        if (c == spec.cycle) {
-            switch (spec.kind) {
-              case FaultKind::kBitFlip:
-                flip_bit(*faulted.model, spec.reg, spec.bit);
-                break;
-              case FaultKind::kStuckAt0:
-                force_bit(*faulted.model, spec.reg, spec.bit, false);
-                break;
-              case FaultKind::kStuckAt1:
-                force_bit(*faulted.model, spec.reg, spec.bit, true);
-                break;
-            }
-            injected = true;
-        } else if (injected && spec.kind != FaultKind::kBitFlip &&
-                   c > spec.cycle &&
-                   c < spec.cycle + spec.stuck_cycles) {
-            force_bit(*faulted.model, spec.reg, spec.bit,
-                      spec.kind == FaultKind::kStuckAt1);
-        }
-    }
-
-    if (!engine_fault) {
-        rec.final_state_matches = true;
-        for (size_t r = 0; r < nregs; ++r) {
-            if (faulted.model->get_reg((int)r) !=
-                golden.model->get_reg((int)r)) {
-                rec.final_state_matches = false;
-                if (!rec.diverged) {
-                    rec.diverged = true;
-                    rec.first_divergence_cycle = cycles;
-                    rec.first_divergence_reg = (int)r;
-                }
-                break;
-            }
-        }
-    }
-
-    if (rec.detected)
-        rec.outcome = Outcome::kDetected;
-    else if (!rec.final_state_matches)
-        rec.outcome = Outcome::kSilentDataCorruption;
-    else
-        rec.outcome = Outcome::kMasked;
-    if (collector != nullptr)
-        *coverage = collector->take("");
-
-    // An engine-faulted model may hold torn internal state; only
-    // cleanly-finished targets go back to the spare pool for reuse.
-    ctx.release(std::move(faulted), !engine_fault);
-    return rec;
-}
-
-} // namespace
-
-InjectionRecord
-run_injection(const Design& design, TrialContext& context,
-              const FaultSpec& spec, uint64_t cycles,
-              obs::CoverageMap* coverage)
-{
-    try {
-        return run_injection_in(design, context, spec, cycles, coverage);
-    } catch (...) {
-        // An exception that escapes the trial (engine faults are caught
-        // inside; this is a harness/setup failure) may have left the
-        // context's cached targets mid-cycle — drop them all so the
-        // next trial rebuilds from the factory.
-        context.poison();
-        throw;
-    }
-}
-
 namespace {
 
 /** Per-pool-worker trial state: one warm TrialContext per worker, built
@@ -640,14 +402,13 @@ run_injection_range(const Design& design, const TargetFactory& factory,
                     InjectionRecord* records, obs::CoverageMap* coverage,
                     const std::function<void(uint64_t, uint64_t)>& before_item)
 {
-    // One pool item per trial, or per lockstep batch of `batch`
-    // consecutive trials forking from the worker's warm golden.
-    // before_item sees the whole group, so a chaos crash aimed at
-    // injection i fires whichever group i lands in.
+    // One pool item per group of `batch` consecutive trials, run as
+    // lanes beside the worker's warm golden (a group of one is a lone
+    // lane from cycle 0). before_item sees the whole group, so a chaos
+    // crash aimed at injection i fires whichever group i lands in.
     std::atomic<bool> interrupted{false};
-    bool batched = batch > 1;
     harness::ParallelOptions options;
-    options.group = batched ? (uint64_t)batch : 1;
+    options.group = batch > 1 ? (uint64_t)batch : 1;
     options.context = trial_context_factory(factory);
     harness::parallel_for(
         (uint64_t)count, jobs,
@@ -658,15 +419,10 @@ run_injection_range(const Design& design, const TargetFactory& factory,
             }
             if (before_item)
                 before_item(s.first, s.count);
-            TrialContext& trial = trial_of(s.context);
-            obs::CoverageMap* cov = coverage ? &coverage[s.first] : nullptr;
-            if (batched)
-                run_injection_batch(design, trial, &faults[first + s.first],
-                                    (size_t)s.count, cycles,
-                                    &records[s.first], cov);
-            else
-                records[s.first] = run_injection(
-                    design, trial, faults[first + s.first], cycles, cov);
+            run_injection_batch(design, trial_of(s.context),
+                                &faults[first + s.first], (size_t)s.count,
+                                cycles, &records[s.first],
+                                coverage ? &coverage[s.first] : nullptr);
         },
         options);
     return !interrupted.load();

@@ -195,14 +195,6 @@ class TrialContext
     /** Factory invocations, the constructor's golden included. */
     uint64_t rebuilds() const { return rebuilds_; }
 
-    /**
-     * Preallocated previous-cycle counter snapshots for run_injection's
-     * detection scan. Context-lifetime so the per-cycle refresh is a
-     * same-size element copy, never an allocation (and a campaign's
-     * trials stop allocating four vectors each).
-     */
-    std::vector<uint64_t> gprev, fprev, gprev_r, fprev_r;
-
   private:
     void restore(FaultTarget& target);
 
@@ -250,13 +242,12 @@ struct CampaignConfig
      */
     int jobs = 1;
     /**
-     * Trials per lockstep batch: 1 = scalar (run_injection per fault),
-     * N > 1 packs N consecutive injections into one batch that shares
-     * a single golden model and forks each faulted lane from the
-     * golden's live state at its injection boundary
-     * (run_injection_batch). Like `jobs`, deliberately NOT echoed into
-     * the JSON report: per-trial records and the coverage database are
-     * byte-identical at any lane count (tested: `ctest -L batch`).
+     * Trials per lockstep batch (run_injection_batch): N consecutive
+     * injections share one golden model, and when N > 1 each lane forks
+     * from the golden's live state at its injection boundary. Like
+     * `jobs`, deliberately NOT echoed into the JSON report: per-trial
+     * records and the coverage database are byte-identical at any lane
+     * count (tested: `ctest -L batch`).
      */
     int batch = 1;
     /**
@@ -353,8 +344,9 @@ std::vector<FaultSpec> generate_faults(const Design& design,
                                        const CampaignConfig& config);
 
 /**
- * Run one injection: golden and faulted targets in lockstep to the
- * horizon, fault applied per `spec`, outcome classified. When
+ * Run one injection: a one-lane run_injection_batch, so golden and
+ * faulted targets step in lockstep from cycle 0 to the horizon, the
+ * fault is applied per `spec`, and the outcome is classified. When
  * `coverage` is non-null it receives the faulted run's coverage map
  * (partial when the engine faulted mid-run), with no engine label.
  */
@@ -368,28 +360,28 @@ InjectionRecord run_injection(const Design& design,
  * context's (restored to cycle 0), the faulted copy is a restored
  * spare when available, and both are returned to the context for the
  * next trial. Record and coverage bytes are identical to the factory
- * overload (the warm-trial contract); the factory overload is in fact
- * a transient-context wrapper around this one.
+ * overload (the warm-trial contract), which wraps this one with a
+ * transient context.
  */
 InjectionRecord run_injection(const Design& design, TrialContext& context,
                               const FaultSpec& spec, uint64_t cycles,
                               obs::CoverageMap* coverage = nullptr);
 
 /**
- * Run `count` injections as one lockstep batch (src/fault/batch.cpp).
- * One golden model is shared by all lanes (every golden run in a
- * campaign is identical); each faulted lane forks from the golden's
- * live state at its injection boundary when the engine supports it
+ * Run `count` injections as lanes of one lockstep batch
+ * (src/fault/batch.cpp, the only trial loop). One golden model is
+ * shared by all lanes (every golden run in a campaign is identical).
+ * With two or more lanes, each forks from the golden's live state at
+ * its injection boundary when the engine supports it
  * (sim::CheckpointableModel plus serializable peripherals), so
- * pre-injection cycles are never re-simulated. Lanes whose engine
- * faults are masked out and skipped for the rest of the batch.
+ * pre-injection cycles are never re-simulated; a lone lane, and every
+ * lane of an engine that cannot fork, runs from cycle 0 instead. Lanes
+ * whose engine faults are masked out and skipped for the rest of the
+ * batch.
  *
  * `records` receives `count` InjectionRecords and — when `coverage` is
- * non-null — `coverage` receives `count` per-trial maps, all
- * byte-identical to what run_injection would have produced for the
- * same specs. Engines that cannot fork fall back to running their
- * lanes from cycle 0 against the shared golden (slower, still
- * byte-identical).
+ * non-null — `coverage` receives `count` per-trial maps, the same bytes
+ * at any lane count and however each lane started.
  */
 void run_injection_batch(const Design& design,
                          const TargetFactory& factory,
@@ -414,8 +406,8 @@ void run_injection_batch(const Design& design, TrialContext& context,
 /**
  * Run the slice faults[first, first + count) through the campaign
  * dispatch: one harness::parallel_for over `jobs` workers, each with a
- * warm TrialContext, one pool item per injection (run_injection) or per
- * lockstep batch of `batch` injections (run_injection_batch). Writes
+ * warm TrialContext, one pool item (one run_injection_batch) per group
+ * of `batch` consecutive injections. Writes
  * into records[0..count) (and coverage[0..count) when non-null; both
  * indexed relative to the slice). This is the unit of work run_campaign
  * executes per chunk and an orchestrator worker per leased chunk —

@@ -175,6 +175,8 @@ manifest_json(const OrchestratorConfig& config, int num_chunks)
     m["num_chunks"] = (int64_t)num_chunks;
     m["worker_jobs"] = (int64_t)config.campaign.jobs;
     m["worker_batch"] = (int64_t)config.campaign.batch;
+    m["worker_cxxflags"] = config.dlopts.cxxflags;
+    m["worker_cache_dir"] = config.dlopts.cache.dir;
     m["worker_timeout_seconds"] = config.worker_timeout_seconds;
     m["chaos"] = config.chaos;
     return m;
@@ -417,10 +419,20 @@ run_claimed_chunk(WorkerContext& ctx, int chunk, std::mt19937_64& chaos_rng)
             _exit(43);
     };
     obs::ProfScope chunk_span("orch/chunk");
-    bool ok = fault::run_injection_range(
-        *ctx.design, ctx.factory, ctx.faults, (size_t)first, (size_t)count,
-        ctx.campaign.cycles, ctx.campaign.jobs, ctx.campaign.batch,
-        records.data(), collect ? coverage.data() : nullptr, chaos_crash);
+    bool ok = false;
+    try {
+        ok = fault::run_injection_range(
+            *ctx.design, ctx.factory, ctx.faults, (size_t)first,
+            (size_t)count, ctx.campaign.cycles, ctx.campaign.jobs,
+            ctx.campaign.batch, records.data(),
+            collect ? coverage.data() : nullptr, chaos_crash);
+    } catch (...) {
+        // A failed target build (say, a compiler rejecting --cxxflags)
+        // must reach the worker log as a diagnostic; unwinding past a
+        // joinable heartbeat thread would std::terminate instead.
+        stop_heartbeat();
+        throw;
+    }
     chunk_span.close();
 
     if (!ok) {
@@ -525,7 +537,14 @@ run_worker(const std::string& dir, int worker_id)
     std::string engine = jget(m, "engine", mpath).as_string();
     std::unique_ptr<Design> design = designs::build_design(design_name);
     ctx.design = design.get();
-    ctx.factory = designs::make_target_factory(*design, engine);
+    // Operational like worker_batch (absent from the identity check and
+    // from older manifests): the compiled engine's flags and cache.
+    codegen::DlModelOptions dlopts;
+    if (const obs::Json* f = m.find("worker_cxxflags"))
+        dlopts.cxxflags = f->as_string();
+    if (const obs::Json* c = m.find("worker_cache_dir"))
+        dlopts.cache.dir = c->as_string();
+    ctx.factory = designs::make_target_factory(*design, engine, dlopts);
 
     const obs::Json& cfg = jget(m, "config", mpath);
     ctx.campaign.seed = jget(cfg, "seed", mpath).as_u64();

@@ -69,6 +69,7 @@
 
 #include <sys/types.h>
 
+#include "codegen/dlmodel.hpp"
 #include "fault/fault.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -88,8 +89,13 @@ struct OrchestratorConfig
     std::string dir;
     /** Registry design name (workers rebuild it from the manifest). */
     std::string design;
-    /** In-process engine name: T0..T5 or "ref". */
+    /** In-process engine name: T0..T5, "ref" or "compiled". */
     std::string engine;
+    /** For engine "compiled": the compiler flags and the object cache
+     *  (empty dir = no cache), forwarded to workers through the
+     *  manifest. `workdir` is not forwarded: each worker emits its
+     *  sources into its own per-process scratch directory. */
+    codegen::DlModelOptions dlopts;
     /** What to inject: seed/count/cycles/stuck_at/max_stuck_cycles and
      *  collect_coverage are honored; jobs is the per-worker thread
      *  count; checkpoint/progress fields are ignored (the chunk files

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Diff a cuttlesim-bench-v1 report against its checked-in baseline.
+"""Diff a cuttlesim-bench-v1 report against a baseline report.
 
-The bench binaries (bench/) write BENCH_<name>.json; the repo pins a
-trajectory snapshot under bench/baselines/. This tool compares the two:
+The bench binaries (bench/, bench_e2e/) write BENCH_<name>.json; this
+tool compares one against an earlier run of the same bench:
 
   - structural drift is always checked: schema tag, bench name, the
     label set (an entry that disappears or appears is drift), and the
@@ -10,13 +10,6 @@ trajectory snapshot under bench/baselines/. This tool compares the two:
   - timing is checked only when NEITHER side is a smoke run
     (host.smoke): current cycles_per_sec must not fall below
     baseline * (1 - tolerance). Speedups never fail.
-  - parallel-scaling drift is reported but NEVER fatal: entries that
-    carry extra.speedup_vs_serial (bench_parallel) are compared, and a
-    current speedup below baseline * (1 - tolerance) prints a
-    "SPEEDUP:" line. It does not affect the exit code — scaling is
-    host-dependent (core count, load), so it is a trajectory report,
-    not a gate; smoke-run speedups are compared too, flagged as
-    indicative only.
 
 Usage: bench_diff.py BASELINE CURRENT [--tolerance=F] [--update]
                      [--report-only]
@@ -24,8 +17,8 @@ Usage: bench_diff.py BASELINE CURRENT [--tolerance=F] [--update]
 
   --tolerance=F   allowed fractional slowdown (default 0.25)
   --update        copy CURRENT over BASELINE and exit 0
-  --report-only   print the full comparison but always exit 0 (how
-                  ctest wires it in: a trajectory report, not a gate)
+  --report-only   print the full comparison but always exit 0 (a
+                  trajectory report, not a gate)
 
 Exit codes: 0 ok / within tolerance, 1 drift or regression, 2 usage.
 """
@@ -50,10 +43,7 @@ def entries_by_label(report):
     return out
 
 
-def compare(problems, notes, baseline, current, tolerance,
-            speedups=None):
-    if speedups is None:
-        speedups = []
+def compare(problems, notes, baseline, current, tolerance):
     for name, rep in (("baseline", baseline), ("current", current)):
         if not isinstance(rep, dict) or rep.get("schema") != SCHEMA:
             problems.append(f"{name}: schema tag must be '{SCHEMA}', "
@@ -82,18 +72,6 @@ def compare(problems, notes, baseline, current, tolerance,
             problems.append(f"{label}: engine drift: baseline "
                             f"{b.get('engine')!r} vs current "
                             f"{c.get('engine')!r}")
-        bsp = b.get("extra", {}).get("speedup_vs_serial")
-        csp = c.get("extra", {}).get("speedup_vs_serial")
-        if isinstance(bsp, (int, float)) and \
-                isinstance(csp, (int, float)) and bsp > 0:
-            if csp < bsp * (1.0 - tolerance):
-                speedups.append(
-                    f"{label}: speedup_vs_serial {csp:.2f}x vs "
-                    f"baseline {bsp:.2f}x"
-                    + (" (smoke run, indicative only)" if smoke else ""))
-            else:
-                notes.append(f"{label}: speedup_vs_serial {csp:.2f}x "
-                             f"(baseline {bsp:.2f}x)")
         bs, cs = b.get("cycles_per_sec"), c.get("cycles_per_sec")
         if not isinstance(bs, (int, float)) or \
                 not isinstance(cs, (int, float)) or bs <= 0:
@@ -110,14 +88,10 @@ def compare(problems, notes, baseline, current, tolerance,
 
 
 def self_test():
-    def report(smoke=True, rate=1000.0, engine="T5", labels=("a", "b"),
-               speedup=None):
-        extra = {} if speedup is None \
-            else {"speedup_vs_serial": speedup}
+    def report(smoke=True, rate=1000.0, engine="T5", labels=("a", "b")):
         return {"schema": SCHEMA, "bench": "t", "host": {"smoke": smoke},
                 "entries": [{"label": x, "engine": engine,
-                             "cycles_per_sec": rate,
-                             "extra": extra} for x in labels]}
+                             "cycles_per_sec": rate} for x in labels]}
 
     problems, notes = [], []
     compare(problems, notes, report(), report(), 0.25)
@@ -152,29 +126,12 @@ def self_test():
         if p:
             failures.append(label)
 
-    # Speedup regressions are flagged in their own list and never
-    # become problems — scaling drift reports, it does not gate.
-    p, n, s = [], [], []
-    compare(p, n, baseline=report(smoke=False, speedup=4.0),
-            current=report(smoke=False, speedup=1.1), tolerance=0.25,
-            speedups=s)
-    if p:
-        failures.append("speedup regression must stay non-fatal")
-    if not s:
-        failures.append("speedup regression not flagged")
-    p, n, s = [], [], []
-    compare(p, n, baseline=report(smoke=False, speedup=4.0),
-            current=report(smoke=False, speedup=3.9), tolerance=0.25,
-            speedups=s)
-    if p or s:
-        failures.append("in-band speedup wrongly flagged")
-
     if failures:
         for label in failures:
             print(f"self-test: wrong verdict: {label}")
         return 1
-    print("self-test: bench_diff detects drift/regression, ignores "
-          "smoke timing, and reports (never gates) speedup drift")
+    print("self-test: bench_diff detects drift/regression and ignores "
+          "smoke timing")
     return 0
 
 
@@ -215,13 +172,10 @@ def main(argv):
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_diff: cannot load reports: {e}", file=sys.stderr)
         return 2
-    problems, notes, speedups = [], [], []
-    compare(problems, notes, baseline, current, tolerance, speedups)
+    problems, notes = [], []
+    compare(problems, notes, baseline, current, tolerance)
     for n in notes:
         print(f"  {n}")
-    # Scaling regressions are reported, never gated (host-dependent).
-    for s in speedups:
-        print(f"SPEEDUP: {s}")
     for p in problems:
         print(f"DRIFT: {p}")
     if not problems:

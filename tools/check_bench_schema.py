@@ -95,47 +95,6 @@ def check_host(problems, path, host):
             err(problems, where, f"field '{key}' must be a boolean")
 
 
-def check_batch(problems, path, root):
-    """Extra contract for BENCH_batch.json (bench == "batch"): the
-    scalar baseline and at least one batched entry must both be
-    present, every entry must say how many lanes it ran and its
-    speedup over scalar, and the headline batch.* gauges must be in
-    the metrics block."""
-    where = f"{path} (bench=batch)"
-    entries = root.get("entries") or []
-    labels = [e.get("label", "") for e in entries
-              if isinstance(e, dict)]
-    if not any("scalar" in label for label in labels):
-        err(problems, where, "no scalar baseline entry "
-                             "(label containing 'scalar')")
-    if not any("batched" in label for label in labels):
-        err(problems, where, "no batched entry "
-                             "(label containing 'batched')")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            continue
-        ewhere = f"{where} entries[{i}]"
-        extra = entry.get("extra")
-        if not isinstance(extra, dict):
-            err(problems, ewhere, "batch entries need an 'extra' block")
-            continue
-        check_number(problems, ewhere, extra, "lanes")
-        check_number(problems, ewhere, extra, "jobs")
-        check_number(problems, ewhere, extra, "trials_per_sec")
-        check_number(problems, ewhere, extra, "speedup_vs_scalar")
-        lanes = extra.get("lanes")
-        if isinstance(lanes, (int, float)) and not isinstance(lanes, bool) \
-                and lanes < 1:
-            err(problems, ewhere, f"'lanes' must be >= 1, got {lanes}")
-    gauges = (root.get("metrics") or {}).get("gauges")
-    if not isinstance(gauges, dict):
-        err(problems, where, "metrics block has no gauges")
-        return
-    for key in ("batch.lanes", "batch.speedup_single",
-                "batch.speedup_aggregate"):
-        check_number(problems, f"{where} metrics gauges", gauges, key)
-
-
 def check_file(problems, path):
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -169,8 +128,6 @@ def check_file(problems, path):
     if not isinstance(metrics, dict):
         err(problems, path, "'metrics' must be an object "
                             "(MetricsRegistry::to_json)")
-    if root.get("bench") == "batch":
-        check_batch(problems, path, root)
 
 
 def main(argv):
