@@ -48,7 +48,7 @@ engine_label(const std::string& engine)
     return engine;
 }
 
-fault::TargetFactory
+sim::SystemFactory
 make_target_factory(const Design& design, const std::string& engine,
                     const codegen::DlModelOptions& dlopts)
 {
@@ -58,7 +58,7 @@ make_target_factory(const Design& design, const std::string& engine,
             // parallel campaigns (ROADMAP item 2) — give it its own
             // phase so the profile can prove or refute that.
             obs::ProfScope span("engine/build");
-            fault::FaultTarget t;
+            sim::System t;
             t.model = make_model(design, engine, dlopts);
             return t;
         };
@@ -87,7 +87,7 @@ make_target_factory(const Design& design, const std::string& engine,
                 std::make_unique<harness::MemPort>(*mem, p.dmem));
             ctx->mems.push_back(std::move(mem));
         }
-        fault::FaultTarget t;
+        sim::System t;
         t.model = make_model(design, engine, dlopts);
         t.stimulus = [ctx](sim::Model& m, uint64_t) {
             for (auto& port : ctx->mem_ports)

@@ -22,9 +22,9 @@
 #include <string>
 
 #include "codegen/dlmodel.hpp"
-#include "fault/fault.hpp"
 #include "koika/design.hpp"
 #include "sim/model.hpp"
+#include "sim/system.hpp"
 #include "sim/tiers.hpp"
 
 namespace koika::designs {
@@ -60,7 +60,7 @@ std::string engine_label(const std::string& engine);
  * targets from a manifest and still merge into the bytes a
  * single-process run would have produced.
  */
-fault::TargetFactory
+sim::SystemFactory
 make_target_factory(const Design& design, const std::string& engine,
                     const codegen::DlModelOptions& dlopts = {});
 

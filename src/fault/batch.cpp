@@ -13,19 +13,19 @@
  *
  *   - at cycle 0, beside the golden: a lone lane (run_injection, a
  *     --batch=1 campaign) and every lane of a target that cannot be
- *     forked. A lone trial steps 2*H model cycles over a horizon of H.
+ *     restored. A lone trial steps 2*H model cycles over a horizon of H.
  *   - forked from the golden's live state at its injection boundary C,
  *     when two or more lanes share the golden and the target is
- *     forkable (TrialContext::warm): registers through get_reg/set_reg,
- *     engine counters and coverage arrays through
- *     sim::CheckpointableModel, peripherals through save_env/load_env,
- *     toggle accumulators through obs::CoverageCollector::save_state.
- *     The lane then steps H - C - 1 cycles.
+ *     sim::restorable (TrialContext::warm): one sim::capture of the
+ *     golden into a state the batch reuses, one sim::restore of it into
+ *     a spare, and the toggle accumulators through
+ *     obs::CoverageCollector::save_state. The lane then steps H - C - 1
+ *     cycles.
  *
- * A lone lane is not forked: the fork copies state through
- * serialization, and on the compiled engine, where the model is under
- * half of trial time, skipping the prefix bought nothing measurable
- * (ROADMAP item 1 makes the copy a memcpy).
+ * A lone lane is not forked: the copy goes through serialization, and
+ * on the compiled engine, where the model is under half of trial time,
+ * skipping the prefix bought nothing measurable (ROADMAP item 1 makes
+ * capture and restore memcpys, in sim/system.cpp alone).
  *
  * A lane whose engine faults is masked out for the rest of the batch;
  * once every lane is, the golden stops too. Records and coverage maps
@@ -81,7 +81,7 @@ struct Lane
 
     /** Live once the lane has its own model (from cycle 0, or from its
      *  injection boundary when forked). */
-    FaultTarget target;
+    sim::System target;
     bool live = false;
     /** Masked out (engine fault); skipped for the rest of the batch. */
     bool masked = false;
@@ -104,23 +104,20 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
           obs::CoverageMap* coverage)
 {
     // A lone lane is a scalar trial: one trial/setup and one trial/run
-    // span, no per-cycle spans. A batch reports batch/pack, a
-    // batch/step per cycle and batch/unpack.
+    // span, no per-cycle spans. A batch reports batch/pack (set-up), a
+    // batch/fork per forked lane, a batch/step per cycle and
+    // batch/unpack.
     const bool lone = count == 1;
     std::optional<obs::ProfScope> phase;
     phase.emplace(lone ? "trial/setup" : "batch/pack");
 
     // The context's golden arrives in pristine cycle-0 state: freshly
     // built on the worker's first trial, restored in place afterwards.
-    FaultTarget& golden = ctx.golden();
+    sim::System& golden = ctx.golden();
     auto* gstats = dynamic_cast<sim::RuleStatsModel*>(golden.model.get());
-    auto* gckpt =
-        dynamic_cast<sim::CheckpointableModel*>(golden.model.get());
-    // Forking needs the engine's auxiliary state (counters, coverage
-    // arrays) and the peripherals' state to be serializable; a target
-    // with live peripherals (context) but no env hooks cannot move
-    // them. ctx.warm() is this exact condition evaluated on the same
-    // factory's output.
+    // Forking copies the golden's whole state into a spare, so it needs
+    // a sim::restorable target; ctx.warm() is that condition evaluated
+    // on the same factory's output.
     const bool fork = !lone && ctx.warm();
 
     // The golden's collector exists to seed forked lanes (its state at
@@ -168,33 +165,15 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
     // boundary. The copied state is byte-for-byte the state a lane run
     // from cycle 0 holds at the same boundary: identical registers,
     // identical counters/coverage (identical fault-free history), and
-    // identical peripherals.
+    // identical peripherals. One state serves every fork of the batch.
+    sim::SystemState fork_state;
     auto fork_lane = [&](Lane& lane) {
-        // No restore: every field copied below overwrites the spare's
-        // full state (registers, extra state, env, collector).
+        // No restore on acquire: the fork overwrites the spare's full
+        // state (registers, engine state, env, collector).
         lane.target = ctx.acquire_unrestored();
         lane.live = true;
-        for (size_t r = 0; r < nregs; ++r)
-            lane.target.model->set_reg(
-                (int)r, golden.model->get_reg((int)r));
-        auto* lckpt = dynamic_cast<sim::CheckpointableModel*>(
-            lane.target.model.get());
-        KOIKA_CHECK(lckpt != nullptr &&
-                    lckpt->state_key() == gckpt->state_key());
-        {
-            sim::StateWriter w;
-            gckpt->save_extra_state(w);
-            std::string bytes = w.take();
-            sim::StateReader r(bytes);
-            lckpt->load_extra_state(r);
-        }
-        if (golden.save_env != nullptr) {
-            sim::StateWriter w;
-            golden.save_env(w);
-            std::string bytes = w.take();
-            sim::StateReader r(bytes);
-            lane.target.load_env(r);
-        }
+        sim::capture(golden, fork_state);
+        KOIKA_CHECK(sim::restore(lane.target, fork_state));
         if (coverage != nullptr) {
             // After the model restore: the collector's constructor
             // re-snapshots register state for toggle detection.
@@ -331,14 +310,12 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
                 // Divergence scan before (re-)forcing, so it measures
                 // what the fault propagated into, not the forced bit.
                 if (lane.injected && !lane.rec.diverged) {
-                    for (size_t r = 0; r < nregs; ++r) {
-                        if (lane.target.model->get_reg((int)r) !=
-                            gregs[r]) {
-                            lane.rec.diverged = true;
-                            lane.rec.first_divergence_cycle = c;
-                            lane.rec.first_divergence_reg = (int)r;
-                            break;
-                        }
+                    int r =
+                        sim::first_difference(*lane.target.model, gregs);
+                    if (r >= 0) {
+                        lane.rec.diverged = true;
+                        lane.rec.first_divergence_cycle = c;
+                        lane.rec.first_divergence_reg = r;
                     }
                 }
             }
@@ -354,7 +331,7 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
             const FaultSpec& spec = lane.rec.spec;
             if (c == spec.cycle) {
                 if (!lane.live) {
-                    obs::ProfScope fork_span("batch/pack");
+                    obs::ProfScope fork_span("batch/fork");
                     fork_lane(lane);
                 }
                 inject(*lane.target.model, spec);
@@ -381,17 +358,12 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
             // The fault never fired: the lane IS the golden run.
             rec.final_state_matches = true;
         } else if (!lane.masked) {
-            rec.final_state_matches = true;
-            for (size_t r = 0; r < nregs; ++r) {
-                if (lane.target.model->get_reg((int)r) != gregs[r]) {
-                    rec.final_state_matches = false;
-                    if (!rec.diverged) {
-                        rec.diverged = true;
-                        rec.first_divergence_cycle = cycles;
-                        rec.first_divergence_reg = (int)r;
-                    }
-                    break;
-                }
+            int r = sim::first_difference(*lane.target.model, gregs);
+            rec.final_state_matches = r < 0;
+            if (r >= 0 && !rec.diverged) {
+                rec.diverged = true;
+                rec.first_divergence_cycle = cycles;
+                rec.first_divergence_reg = r;
             }
         }
         if (rec.detected)
@@ -433,7 +405,7 @@ run_injection_batch(const Design& design, TrialContext& context,
 }
 
 void
-run_injection_batch(const Design& design, const TargetFactory& factory,
+run_injection_batch(const Design& design, const sim::SystemFactory& factory,
                     const FaultSpec* specs, size_t count,
                     uint64_t cycles, InjectionRecord* records,
                     obs::CoverageMap* coverage)
@@ -455,7 +427,7 @@ run_injection(const Design& design, TrialContext& context,
 }
 
 InjectionRecord
-run_injection(const Design& design, const TargetFactory& factory,
+run_injection(const Design& design, const sim::SystemFactory& factory,
               const FaultSpec& spec, uint64_t cycles,
               obs::CoverageMap* coverage)
 {

@@ -13,7 +13,6 @@
 #include "base/signal.hpp"
 #include "harness/parallel.hpp"
 #include "obs/prof.hpp"
-#include "sim/state.hpp"
 
 namespace koika::fault {
 
@@ -83,15 +82,21 @@ injection_from_json(const obs::Json& e)
     r.reg_name = jfield(e, "reg_name").as_string();
     r.spec.bit = (uint32_t)jfield(e, "bit").as_u64();
     std::string kind = jfield(e, "kind").as_string();
-    for (int k = 0; k < kNumFaultKinds; ++k)
-        if (kind == fault_kind_name((FaultKind)k))
-            r.spec.kind = (FaultKind)k;
+    int k = 0;
+    while (k < kNumFaultKinds && kind != fault_kind_name((FaultKind)k))
+        ++k;
+    if (k == kNumFaultKinds)
+        fatal("injection record: unknown fault kind '%s'", kind.c_str());
+    r.spec.kind = (FaultKind)k;
     if (const obs::Json* sc = e.find("stuck_cycles"))
         r.spec.stuck_cycles = sc->as_u64();
     std::string outcome = jfield(e, "outcome").as_string();
-    for (int o = 0; o < 3; ++o)
-        if (outcome == outcome_name((Outcome)o))
-            r.outcome = (Outcome)o;
+    int o = 0;
+    while (o < 3 && outcome != outcome_name((Outcome)o))
+        ++o;
+    if (o == 3)
+        fatal("injection record: unknown outcome '%s'", outcome.c_str());
+    r.outcome = (Outcome)o;
     r.diverged = jfield(e, "diverged").as_bool();
     if (r.diverged) {
         r.first_divergence_cycle =
@@ -252,7 +257,7 @@ generate_faults(const Design& design, const CampaignConfig& config)
 
 // -- TrialContext ------------------------------------------------------------
 
-TrialContext::TrialContext(const TargetFactory& factory)
+TrialContext::TrialContext(const sim::SystemFactory& factory)
     : factory_(factory)
 {
     // The per-worker golden build (and snapshot) is still setup work —
@@ -261,53 +266,13 @@ TrialContext::TrialContext(const TargetFactory& factory)
     golden_ = factory_();
     golden_live_ = true;
     ++rebuilds_;
-    auto* ckpt =
-        dynamic_cast<sim::CheckpointableModel*>(golden_.model.get());
-    // Same condition as batch.cpp's forkable: the engine's auxiliary
-    // state must be serializable, and peripherals must either be
-    // serializable too or absent entirely.
-    bool env_ok = (golden_.save_env != nullptr) ==
-                  (golden_.load_env != nullptr);
-    warm_ = ckpt != nullptr && env_ok &&
-            (golden_.save_env != nullptr || golden_.context == nullptr);
-    if (!warm_)
-        return;
-
-    // Pristine cycle-0 snapshot, captured before the golden ever steps.
-    size_t nregs = golden_.model->num_regs();
-    regs0_.reserve(nregs);
-    for (size_t r = 0; r < nregs; ++r)
-        regs0_.push_back(golden_.model->get_reg((int)r));
-    state_key0_ = ckpt->state_key();
-    sim::StateWriter w;
-    ckpt->save_extra_state(w);
-    extra0_ = w.take();
-    has_env_ = golden_.save_env != nullptr;
-    if (has_env_) {
-        sim::StateWriter we;
-        golden_.save_env(we);
-        env0_ = we.take();
-    }
+    warm_ = sim::restorable(golden_);
+    // Captured before the golden ever steps.
+    if (warm_)
+        sim::capture(golden_, pristine_);
 }
 
-void
-TrialContext::restore(FaultTarget& target)
-{
-    for (size_t r = 0; r < regs0_.size(); ++r)
-        target.model->set_reg((int)r, regs0_[r]);
-    auto* ckpt =
-        dynamic_cast<sim::CheckpointableModel*>(target.model.get());
-    KOIKA_CHECK(ckpt != nullptr && ckpt->state_key() == state_key0_);
-    sim::StateReader extra(extra0_);
-    ckpt->load_extra_state(extra);
-    if (has_env_) {
-        sim::StateReader env(env0_);
-        target.load_env(env);
-    }
-    ++restores_;
-}
-
-FaultTarget&
+sim::System&
 TrialContext::golden()
 {
     if (!golden_live_ || (golden_dirty_ && !warm_)) {
@@ -315,30 +280,32 @@ TrialContext::golden()
         golden_live_ = true;
         ++rebuilds_;
     } else if (golden_dirty_) {
-        restore(golden_);
+        KOIKA_CHECK(sim::restore(golden_, pristine_));
+        ++restores_;
     }
     golden_dirty_ = true;
     return golden_;
 }
 
-FaultTarget
+sim::System
 TrialContext::acquire()
 {
     if (warm_ && !spares_.empty()) {
-        FaultTarget target = std::move(spares_.back());
+        sim::System target = std::move(spares_.back());
         spares_.pop_back();
-        restore(target);
+        KOIKA_CHECK(sim::restore(target, pristine_));
+        ++restores_;
         return target;
     }
     ++rebuilds_;
     return factory_();
 }
 
-FaultTarget
+sim::System
 TrialContext::acquire_unrestored()
 {
     if (warm_ && !spares_.empty()) {
-        FaultTarget target = std::move(spares_.back());
+        sim::System target = std::move(spares_.back());
         spares_.pop_back();
         return target;
     }
@@ -347,7 +314,7 @@ TrialContext::acquire_unrestored()
 }
 
 void
-TrialContext::release(FaultTarget&& target, bool healthy)
+TrialContext::release(sim::System&& target, bool healthy)
 {
     if (warm_ && healthy)
         spares_.push_back(std::move(target));
@@ -358,45 +325,14 @@ TrialContext::release(FaultTarget&& target, bool healthy)
 void
 TrialContext::poison()
 {
-    golden_ = FaultTarget{};
+    golden_ = sim::System{};
     golden_live_ = false;
     golden_dirty_ = false;
     spares_.clear();
 }
 
-namespace {
-
-/** Per-pool-worker trial state: one warm TrialContext per worker, built
- *  lazily on the worker's own thread and destroyed when parallel_for
- *  returns (harness::WorkerContext lifetime contract). */
-struct TrialWorkerContext final : harness::WorkerContext
-{
-    explicit TrialWorkerContext(const TargetFactory& factory)
-        : trial(factory)
-    {
-    }
-
-    TrialContext trial;
-};
-
-harness::ContextFactory
-trial_context_factory(const TargetFactory& factory)
-{
-    return [&factory](int) -> std::unique_ptr<harness::WorkerContext> {
-        return std::make_unique<TrialWorkerContext>(factory);
-    };
-}
-
-TrialContext&
-trial_of(harness::WorkerContext* ctx)
-{
-    return static_cast<TrialWorkerContext*>(ctx)->trial;
-}
-
-} // namespace
-
 bool
-run_injection_range(const Design& design, const TargetFactory& factory,
+run_injection_range(const Design& design, const sim::SystemFactory& factory,
                     const std::vector<FaultSpec>& faults, size_t first,
                     size_t count, uint64_t cycles, int jobs, int batch,
                     InjectionRecord* records, obs::CoverageMap* coverage,
@@ -409,7 +345,9 @@ run_injection_range(const Design& design, const TargetFactory& factory,
     std::atomic<bool> interrupted{false};
     harness::ParallelOptions options;
     options.group = batch > 1 ? (uint64_t)batch : 1;
-    options.context = trial_context_factory(factory);
+    options.context = [&factory](int) {
+        return std::make_unique<TrialContext>(factory);
+    };
     harness::parallel_for(
         (uint64_t)count, jobs,
         [&](const harness::Shard& s) {
@@ -419,7 +357,8 @@ run_injection_range(const Design& design, const TargetFactory& factory,
             }
             if (before_item)
                 before_item(s.first, s.count);
-            run_injection_batch(design, trial_of(s.context),
+            run_injection_batch(design,
+                                static_cast<TrialContext&>(*s.context),
                                 &faults[first + s.first], (size_t)s.count,
                                 cycles, &records[s.first],
                                 coverage ? &coverage[s.first] : nullptr);
@@ -429,7 +368,7 @@ run_injection_range(const Design& design, const TargetFactory& factory,
 }
 
 CampaignReport
-run_campaign(const Design& design, const TargetFactory& factory,
+run_campaign(const Design& design, const sim::SystemFactory& factory,
              const CampaignConfig& config)
 {
     CampaignReport report;
@@ -658,12 +597,12 @@ CampaignReport::export_to(obs::MetricsRegistry& registry,
                      "/" + outcome_name(r.outcome));
 }
 
-TargetFactory
+sim::SystemFactory
 closed_target(
     const std::function<std::unique_ptr<sim::Model>()>& make_model)
 {
     return [make_model]() {
-        FaultTarget t;
+        sim::System t;
         t.model = make_model();
         return t;
     };

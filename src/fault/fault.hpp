@@ -31,12 +31,12 @@
 #include <string>
 #include <vector>
 
+#include "harness/parallel.hpp"
 #include "koika/design.hpp"
 #include "obs/coverage.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "sim/model.hpp"
-#include "sim/state.hpp"
+#include "sim/system.hpp"
 
 namespace koika::fault {
 
@@ -101,67 +101,41 @@ struct InjectionRecord
     bool final_state_matches = false;
 };
 
-/**
- * One fresh instance of the system under test: the model plus whatever
- * per-instance peripherals drive it. The stimulus (may be null) runs
- * after every cycle, exactly like the lockstep harness's. `context`
- * keeps peripheral objects alive for the model's lifetime.
- *
- * save_env/load_env (may be null) serialize the peripherals' own state
- * — RAM contents, pending responses — so a checkpointed run resumes
- * byte-identically (the "env" section of a cuttlesim-ckpt-v1 file).
- * load_env runs on a freshly built target, so save and load must agree
- * on peripheral order and layout.
- */
-struct FaultTarget
-{
-    std::unique_ptr<sim::Model> model;
-    std::function<void(sim::Model&, uint64_t)> stimulus;
-    std::function<void(sim::StateWriter&)> save_env;
-    std::function<void(sim::StateReader&)> load_env;
-    std::shared_ptr<void> context;
-};
-
-/** Builds a fresh, identically-initialized target per run. */
-using TargetFactory = std::function<FaultTarget()>;
+/** sim::System and its factory, under the campaign API's names. */
+using FaultTarget = sim::System;
+using TargetFactory = sim::SystemFactory;
 
 /**
- * Reusable per-worker trial state: the fix for flat parallel scaling
- * (ROADMAP item 2). A campaign trial needs a golden and a faulted
- * target, and historically built BOTH from the factory for every
- * injection — so `trial/setup` grew with the trial count and jobs=hw
- * barely beat jobs=1. A TrialContext makes that a per-worker cost: it
- * builds the golden once, captures a pristine cycle-0 checkpoint
- * (registers via get_reg, engine counters via sim::CheckpointableModel,
- * peripherals via the target's save_env), and every later trial
- * *restores* that snapshot in place instead of reconstructing.
+ * Reusable per-worker trial state, and the pool's per-worker context
+ * (harness::WorkerContext): campaign trials need a golden and a faulted
+ * target, and building both from the factory for every injection made
+ * `trial/setup` grow with the trial count. A TrialContext makes that a
+ * per-worker cost: it builds the golden once, captures its pristine
+ * cycle-0 state (sim::capture), and every later trial *restores* that
+ * state in place (sim::restore) instead of reconstructing.
  *
- * Warmth requires exactly what batched lane-forking requires (the
- * batch.cpp forkable condition): a checkpointable model and either
- * serializable peripherals or no peripherals at all. Anything else is
- * "cold" and transparently falls back to rebuilding through the
- * factory — same results, original cost.
+ * Warmth is sim::restorable(), the same condition batch lane forking
+ * requires. A cold context transparently falls back to rebuilding
+ * through the factory — same results, original cost.
  *
- * The restore contract is the checkpoint subsystem's: registers +
- * extra state + env restore is byte-identical to a fresh build, so
- * reports and coverage stay byte-identical to factory-per-trial runs
- * (enforced by the restore-vs-reconstruct ctest gates). Targets whose
- * engine faulted mid-trial are NEVER reused — release(…, healthy=false)
- * drops them, and poison() drops everything after an escaped exception.
+ * Restore is byte-identical to a fresh build, so reports and coverage
+ * stay byte-identical to factory-per-trial runs (enforced by the
+ * restore-vs-reconstruct ctest gates). Targets whose engine faulted
+ * mid-trial are NEVER reused — release(…, healthy=false) drops them,
+ * and poison() drops everything after an escaped exception.
  *
- * Not thread-safe: one TrialContext per pool worker
- * (harness::WorkerContext hooks), living exactly as long as one
- * harness::parallel_for call.
+ * Not thread-safe: one TrialContext per pool worker, living exactly as
+ * long as one harness::parallel_for call.
  */
-class TrialContext
+class TrialContext final : public harness::WorkerContext
 {
   public:
-    explicit TrialContext(const TargetFactory& factory);
+    explicit TrialContext(const sim::SystemFactory& factory);
 
     TrialContext(const TrialContext&) = delete;
     TrialContext& operator=(const TrialContext&) = delete;
 
-    /** Checkpoint-restore available (the batch forkable condition)? */
+    /** Restore available (sim::restorable on the factory's output)? */
     bool warm() const { return warm_; }
 
     /**
@@ -169,22 +143,22 @@ class TrialContext
      * in place when warm and previously handed out, rebuilt from the
      * factory otherwise.
      */
-    FaultTarget& golden();
+    sim::System& golden();
 
     /** A pristine target the caller owns for one trial: a restored
      *  spare when warm, a fresh factory build otherwise. */
-    FaultTarget acquire();
+    sim::System acquire();
 
     /** Like acquire() but skips the restore — for callers that
      *  overwrite the full state anyway (batch lane forking). */
-    FaultTarget acquire_unrestored();
+    sim::System acquire_unrestored();
 
     /**
      * Return a trial's target. Healthy targets become spares for the
      * next acquire (when warm); unhealthy ones — the engine threw on
      * corrupted state and may hold torn internals — are destroyed.
      */
-    void release(FaultTarget&& target, bool healthy);
+    void release(sim::System&& target, bool healthy);
 
     /** Drop the golden and every spare (after an escaped exception);
      *  subsequent calls rebuild from the factory. */
@@ -196,22 +170,16 @@ class TrialContext
     uint64_t rebuilds() const { return rebuilds_; }
 
   private:
-    void restore(FaultTarget& target);
-
-    TargetFactory factory_;
-    FaultTarget golden_;
+    sim::SystemFactory factory_;
+    sim::System golden_;
     bool golden_live_ = false;
     /** Golden handed out since its last restore (state may have moved). */
     bool golden_dirty_ = false;
     bool warm_ = false;
-    bool has_env_ = false;
-    /** Pristine cycle-0 snapshot (valid when warm_). */
-    std::vector<Bits> regs0_;
-    std::string state_key0_;
-    std::string extra0_;
-    std::string env0_;
+    /** The golden's state before its first cycle (valid when warm_). */
+    sim::SystemState pristine_;
     /** Healthy retired targets awaiting restore-and-reuse. */
-    std::vector<FaultTarget> spares_;
+    std::vector<sim::System> spares_;
     uint64_t restores_ = 0;
     uint64_t rebuilds_ = 0;
 };
@@ -351,7 +319,7 @@ std::vector<FaultSpec> generate_faults(const Design& design,
  * (partial when the engine faulted mid-run), with no engine label.
  */
 InjectionRecord run_injection(const Design& design,
-                              const TargetFactory& factory,
+                              const sim::SystemFactory& factory,
                               const FaultSpec& spec, uint64_t cycles,
                               obs::CoverageMap* coverage = nullptr);
 
@@ -372,10 +340,10 @@ InjectionRecord run_injection(const Design& design, TrialContext& context,
  * (src/fault/batch.cpp, the only trial loop). One golden model is
  * shared by all lanes (every golden run in a campaign is identical).
  * With two or more lanes, each forks from the golden's live state at
- * its injection boundary when the engine supports it
- * (sim::CheckpointableModel plus serializable peripherals), so
+ * its injection boundary when the target is sim::restorable (one
+ * sim::capture of the golden, one sim::restore into a spare), so
  * pre-injection cycles are never re-simulated; a lone lane, and every
- * lane of an engine that cannot fork, runs from cycle 0 instead. Lanes
+ * lane of a target that cannot be restored, runs from cycle 0. Lanes
  * whose engine faults are masked out and skipped for the rest of the
  * batch.
  *
@@ -384,7 +352,7 @@ InjectionRecord run_injection(const Design& design, TrialContext& context,
  * at any lane count and however each lane started.
  */
 void run_injection_batch(const Design& design,
-                         const TargetFactory& factory,
+                         const sim::SystemFactory& factory,
                          const FaultSpec* specs, size_t count,
                          uint64_t cycles, InjectionRecord* records,
                          obs::CoverageMap* coverage = nullptr);
@@ -394,8 +362,8 @@ void run_injection_batch(const Design& design,
  * golden is the context's (restored to cycle 0), lanes fork from
  * context spares, and healthy lanes are returned as spares for the
  * worker's next batch. The context's warm() IS the batch's forkable
- * condition, so a cold context degrades to the from-cycle-0 fallback
- * exactly as before. Bytes identical to the factory overload (which
+ * condition, so a cold context runs every lane from cycle 0. Bytes
+ * identical to the factory overload (which
  * wraps this one with a transient context).
  */
 void run_injection_batch(const Design& design, TrialContext& context,
@@ -422,7 +390,7 @@ void run_injection_batch(const Design& design, TrialContext& context,
  * worker mid-chunk.
  */
 bool run_injection_range(
-    const Design& design, const TargetFactory& factory,
+    const Design& design, const sim::SystemFactory& factory,
     const std::vector<FaultSpec>& faults, size_t first, size_t count,
     uint64_t cycles, int jobs, int batch, InjectionRecord* records,
     obs::CoverageMap* coverage = nullptr,
@@ -439,14 +407,14 @@ bool run_injection_range(
  * report.interrupted.
  */
 CampaignReport run_campaign(const Design& design,
-                            const TargetFactory& factory,
+                            const sim::SystemFactory& factory,
                             const CampaignConfig& config);
 
 /**
  * Convenience factory for closed designs (no stimulus): a tier-style
  * engine built by `make_model` each time.
  */
-TargetFactory
+sim::SystemFactory
 closed_target(const std::function<std::unique_ptr<sim::Model>()>& make_model);
 
 // -- Report-assembly helpers (shared with the campaign orchestrator) ---------

@@ -319,7 +319,7 @@ struct WorkerContext
     std::string dir;
     int worker_id = -1;
     const Design* design = nullptr;
-    fault::TargetFactory factory;
+    sim::SystemFactory factory;
     fault::CampaignConfig campaign;
     std::vector<fault::FaultSpec> faults;
     int chunk_size = 0;
@@ -864,6 +864,12 @@ run_orchestrator(const OrchestratorConfig& config)
             release_lease(config.dir, c);
             std::remove(chunk_failed_path(config.dir, c).c_str());
         }
+        // Build one system before any worker starts: a target that
+        // cannot be built (say, a compiler rejecting --cxxflags) would
+        // fail every worker the same way, so the FatalError surfaces
+        // here, once, with its diagnostic.
+        std::unique_ptr<Design> design = designs::build_design(config.design);
+        designs::make_target_factory(*design, config.engine, config.dlopts)();
     }
 
     std::string binary = resolve_worker_binary(config);

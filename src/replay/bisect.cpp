@@ -10,7 +10,7 @@ namespace {
 
 /** Run one cycle plus its boundary actions (stimulus, perturbation). */
 void
-run_boundary(Subject& s, uint64_t c,
+run_boundary(sim::System& s, uint64_t c,
              const std::function<void(sim::Model&, uint64_t)>& perturb)
 {
     s.model->cycle();
@@ -18,44 +18,6 @@ run_boundary(Subject& s, uint64_t c,
         s.stimulus(*s.model, c);
     if (perturb)
         perturb(*s.model, c + 1);
-}
-
-Checkpoint
-capture_full(const Design& design, const Subject& s)
-{
-    Checkpoint ck = Checkpoint::capture(design, *s.model);
-    if (s.save_env) {
-        sim::StateWriter w;
-        s.save_env(w);
-        ck.set_section("env", w.take());
-    }
-    return ck;
-}
-
-void
-restore_full(const Design& design, Subject& s, const Checkpoint& ck)
-{
-    ck.restore_into(design, *s.model);
-    if (s.load_env) {
-        const std::string* env = ck.section("env");
-        KOIKA_CHECK(env != nullptr);
-        sim::StateReader r(*env);
-        s.load_env(r);
-    }
-}
-
-bool
-states_equal(const Subject& a, const Subject& b, size_t nregs,
-             int* first_reg)
-{
-    for (size_t r = 0; r < nregs; ++r) {
-        if (a.model->get_reg((int)r) != b.model->get_reg((int)r)) {
-            if (first_reg != nullptr)
-                *first_reg = (int)r;
-            return false;
-        }
-    }
-    return true;
 }
 
 std::vector<std::string>
@@ -75,8 +37,8 @@ fired_names(const sim::Model& m)
 } // namespace
 
 DivergenceReport
-bisect_divergence(const Design& design, const SubjectFactory& make_a,
-                  const SubjectFactory& make_b,
+bisect_divergence(const Design& design, const sim::SystemFactory& make_a,
+                  const sim::SystemFactory& make_b,
                   const BisectConfig& config)
 {
     DivergenceReport rep;
@@ -88,12 +50,13 @@ bisect_divergence(const Design& design, const SubjectFactory& make_a,
 
     // -- Scan: lockstep with periodic checkpoints, comparing only at
     // stride boundaries until an interval (lo, hi] disagrees.
-    Subject a = make_a();
-    Subject b = make_b();
+    sim::System a = make_a();
+    sim::System b = make_b();
     KOIKA_CHECK(a.model->num_regs() == nregs &&
                 b.model->num_regs() == nregs);
-    Checkpoint ck_a = capture_full(design, a);
-    Checkpoint ck_b = capture_full(design, b);
+    sim::SystemState ck_a, ck_b;
+    sim::capture(a, ck_a);
+    sim::capture(b, ck_b);
     rep.checkpoints += 2;
     uint64_t lo = 0, hi = 0;
     bool bracketed = false;
@@ -104,36 +67,36 @@ bisect_divergence(const Design& design, const SubjectFactory& make_a,
         if (done % stride != 0 && done != config.horizon)
             continue;
         ++rep.state_compares;
-        if (!states_equal(a, b, nregs, nullptr)) {
+        if (sim::first_difference(*b.model, a.model->snapshot()) >= 0) {
             hi = done;
             bracketed = true;
             break;
         }
-        ck_a = capture_full(design, a);
-        ck_b = capture_full(design, b);
+        sim::capture(a, ck_a);
+        sim::capture(b, ck_b);
         rep.checkpoints += 2;
         lo = done;
     }
     if (!bracketed)
         return rep;
 
-    // -- Bisect: restore the pair from the last agreeing checkpoints
+    // -- Bisect: restore a fresh pair from the last agreeing states
     // and replay to the midpoint; each probe halves (lo, hi].
     while (hi - lo > 1) {
         uint64_t mid = lo + (hi - lo) / 2;
-        Subject pa = make_a();
-        Subject pb = make_b();
-        restore_full(design, pa, ck_a);
-        restore_full(design, pb, ck_b);
+        sim::System pa = make_a();
+        sim::System pb = make_b();
+        sim::restore(pa, ck_a);
+        sim::restore(pb, ck_b);
         for (uint64_t c = lo; c < mid; ++c) {
             run_boundary(pa, c, nullptr);
             run_boundary(pb, c, config.perturb_b);
         }
         rep.replayed_cycles += 2 * (mid - lo);
         ++rep.state_compares;
-        if (states_equal(pa, pb, nregs, nullptr)) {
-            ck_a = capture_full(design, pa);
-            ck_b = capture_full(design, pb);
+        if (sim::first_difference(*pb.model, pa.model->snapshot()) < 0) {
+            sim::capture(pa, ck_a);
+            sim::capture(pb, ck_b);
             rep.checkpoints += 2;
             lo = mid;
         } else {
@@ -143,19 +106,18 @@ bisect_divergence(const Design& design, const SubjectFactory& make_a,
 
     // -- Attribute: replay the single divergent cycle to capture the
     // first disagreeing register and both firing sets.
-    Subject fa = make_a();
-    Subject fb = make_b();
-    restore_full(design, fa, ck_a);
-    restore_full(design, fb, ck_b);
+    sim::System fa = make_a();
+    sim::System fb = make_b();
+    sim::restore(fa, ck_a);
+    sim::restore(fb, ck_b);
     for (uint64_t c = lo; c < hi; ++c) {
         run_boundary(fa, c, nullptr);
         run_boundary(fb, c, config.perturb_b);
     }
     rep.replayed_cycles += 2 * (hi - lo);
-    int first_reg = -1;
     ++rep.state_compares;
-    bool equal = states_equal(fa, fb, nregs, &first_reg);
-    KOIKA_CHECK(!equal);
+    int first_reg = sim::first_difference(*fb.model, fa.model->snapshot());
+    KOIKA_CHECK(first_reg >= 0);
     rep.diverged = true;
     rep.cycle = hi;
     rep.reg = first_reg;

@@ -7,9 +7,10 @@
  * the first divergent cycle by comparing every cycle costs a full-state
  * compare per cycle. This module does what rr's reverse execution does
  * over committed state instead: run both engines in lockstep taking
- * periodic checkpoints and comparing only at checkpoint boundaries,
- * then binary-search inside the first disagreeing interval by restoring
- * from the last agreeing checkpoint and replaying to the midpoint.
+ * periodic in-memory checkpoints (sim::capture) and comparing only at
+ * checkpoint boundaries, then binary-search inside the first
+ * disagreeing interval by restoring from the last agreeing checkpoint
+ * and replaying to the midpoint.
  * Because engines are deterministic functions of committed state (the
  * paper's cycle-accuracy contract) and checkpoints capture peripheral
  * state too, every replay reproduces the original run exactly, and the
@@ -19,36 +20,14 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "koika/design.hpp"
 #include "obs/json.hpp"
-#include "replay/checkpoint.hpp"
-#include "sim/model.hpp"
+#include "sim/system.hpp"
 
 namespace koika::replay {
-
-/**
- * One replayable system under test: the model plus the external
- * environment driving it. `stimulus` runs after every cycle (0-based
- * cycle index, the lockstep/fault convention). `save_env`/`load_env`
- * serialize peripheral state (RAM contents, pending responses) so a
- * restored subject replays byte-identically; both may be null for
- * closed designs. `context` keeps peripherals alive.
- */
-struct Subject
-{
-    std::unique_ptr<sim::Model> model;
-    std::function<void(sim::Model&, uint64_t)> stimulus;
-    std::function<void(sim::StateWriter&)> save_env;
-    std::function<void(sim::StateReader&)> load_env;
-    std::shared_ptr<void> context;
-};
-
-/** Builds a fresh, identically-initialized subject per call. */
-using SubjectFactory = std::function<Subject()>;
 
 struct BisectConfig
 {
@@ -61,10 +40,10 @@ struct BisectConfig
      */
     uint64_t stride = 0;
     /**
-     * Optional deterministic perturbation of subject B, applied at
+     * Optional deterministic perturbation of system B, applied at
      * every cycle boundary after the stimulus; receives the number of
      * committed cycles (1-based). Must be a pure function of that
-     * count, so replays from a checkpoint reproduce it.
+     * count, so replays from a saved state reproduce it.
      */
     std::function<void(sim::Model&, uint64_t)> perturb_b;
 };
@@ -96,14 +75,16 @@ struct DivergenceReport
 };
 
 /**
- * Find the first divergent cycle between two subjects over `horizon`
- * cycles. Checkpoint-and-replay: O(horizon) forward work, O(log stride)
+ * Find the first divergent cycle between two systems over `horizon`
+ * cycles. Capture-and-replay: O(horizon) forward work, O(log stride)
  * replays inside the bracket, full-state compares only at boundaries
- * and probe points.
+ * and probe points. Each replay builds fresh systems from the
+ * factories and restores the last agreeing sim::SystemStates into
+ * them, peripherals included.
  */
 DivergenceReport bisect_divergence(const Design& design,
-                                   const SubjectFactory& make_a,
-                                   const SubjectFactory& make_b,
+                                   const sim::SystemFactory& make_a,
+                                   const sim::SystemFactory& make_b,
                                    const BisectConfig& config);
 
 } // namespace koika::replay

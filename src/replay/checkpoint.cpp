@@ -109,6 +109,32 @@ Checkpoint::restore_into(const Design& d, sim::Model& model) const
     return false;
 }
 
+Checkpoint
+Checkpoint::capture(const Design& design, const sim::System& system)
+{
+    Checkpoint ck = capture(design, *system.model);
+    if (system.save_env != nullptr) {
+        sim::StateWriter w;
+        system.save_env(w);
+        ck.set_section("env", w.take());
+    }
+    return ck;
+}
+
+bool
+Checkpoint::restore_into(const Design& design, sim::System& system) const
+{
+    bool engine = restore_into(design, *system.model);
+    if (const std::string* env = section("env")) {
+        if (system.load_env == nullptr)
+            reject("the checkpoint carries peripheral state ('env') "
+                   "but the system has no peripherals");
+        sim::StateReader r(*env);
+        system.load_env(r);
+    }
+    return engine;
+}
+
 const std::string*
 Checkpoint::section(const std::string& name) const
 {

@@ -42,7 +42,7 @@
 #include "base/bits.hpp"
 #include "koika/design.hpp"
 #include "sim/model.hpp"
-#include "sim/state.hpp"
+#include "sim/system.hpp"
 
 namespace koika::replay {
 
@@ -79,6 +79,10 @@ class Checkpoint
      */
     static Checkpoint capture(const Design& design,
                               const sim::Model& model);
+    /** capture() of the system's model, plus its peripherals' state
+     *  (save_env) under section "env". */
+    static Checkpoint capture(const Design& design,
+                              const sim::System& system);
 
     /**
      * Restore into `model`: validates that the checkpoint was taken
@@ -91,6 +95,9 @@ class Checkpoint
      * restart from zero. FatalError on any mismatch with the design.
      */
     bool restore_into(const Design& design, sim::Model& model) const;
+    /** restore_into() the system's model, then the "env" section (when
+     *  present) into its peripherals (load_env). */
+    bool restore_into(const Design& design, sim::System& system) const;
 
     /** Section payload by name; nullptr when absent. */
     const std::string* section(const std::string& name) const;

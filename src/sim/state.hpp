@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/error.hpp"
@@ -28,6 +29,13 @@ namespace koika::sim {
 class StateWriter
 {
   public:
+    StateWriter() = default;
+    /** Write into `buf`'s storage (cleared first), reusing its capacity. */
+    explicit StateWriter(std::string&& buf) : buf_(std::move(buf))
+    {
+        buf_.clear();
+    }
+
     void
     put_u32(uint32_t v)
     {
@@ -116,7 +124,12 @@ class StateReader
     get_u64_vec()
     {
         uint64_t n = get_u64();
-        need(n * 8);
+        // n * 8 would wrap for a corrupt length; compare by division.
+        if (n > remaining() / 8)
+            fatal("checkpoint state section truncated: %llu u64s "
+                  "wanted, %llu bytes left",
+                  (unsigned long long)n,
+                  (unsigned long long)remaining());
         std::vector<uint64_t> v;
         v.reserve(n);
         for (uint64_t i = 0; i < n; ++i)

@@ -254,6 +254,36 @@ TEST(FaultCampaign, ReportJsonHasTheDocumentedSchema)
     ASSERT_TRUE(injections->is_array());
 }
 
+TEST(FaultCampaign, InjectionFromJsonRejectsUnknownKindAndOutcome)
+{
+    InjectionRecord rec;
+    rec.spec = {.cycle = 4, .reg = 0, .bit = 2,
+                .kind = FaultKind::kStuckAt1, .stuck_cycles = 3};
+    rec.reg_name = "x";
+    rec.outcome = Outcome::kDetected;
+    obs::Json good = injection_to_json(0, rec);
+    EXPECT_EQ(injection_to_json(0, injection_from_json(good)).dump(),
+              good.dump());
+
+    // Checkpoint and chunk files are read back through this function;
+    // a value it does not know must be an error naming the value, not
+    // a silent bit_flip or masked.
+    auto error_of = [](const obs::Json& e) -> std::string {
+        try {
+            injection_from_json(e);
+        } catch (const FatalError& err) {
+            return err.message();
+        }
+        return "";
+    };
+    obs::Json bad_kind = good;
+    bad_kind["kind"] = "stuck_at_2";
+    EXPECT_NE(error_of(bad_kind).find("'stuck_at_2'"), std::string::npos);
+    obs::Json bad_outcome = good;
+    bad_outcome["outcome"] = "benign";
+    EXPECT_NE(error_of(bad_outcome).find("'benign'"), std::string::npos);
+}
+
 TEST(FaultCampaign, ShardedReportIsByteIdenticalToSerial)
 {
     auto d = designs::build_design("collatz");

@@ -235,12 +235,12 @@ TEST(SpillStream, RoundtripsRecordsInOrder)
 
 namespace {
 
-replay::SubjectFactory
+sim::SystemFactory
 tier_subject(const Design& d,
              sim::Tier tier = sim::Tier::kT5StaticAnalysis)
 {
     return [&d, tier]() {
-        replay::Subject s;
+        sim::System s;
         s.model = sim::make_engine(d, tier);
         return s;
     };
@@ -405,9 +405,17 @@ TEST(StateCodec, PrimitivesRoundtripAndShortReadsFail)
     EXPECT_TRUE(r.done());
 
     // Reading past the end is corruption, reported as such.
-    sim::StateReader short_r(bytes.substr(0, 6));
+    std::string short_bytes = bytes.substr(0, 6);
+    sim::StateReader short_r(short_bytes);
     short_r.get_u32();
     EXPECT_THROW(short_r.get_u64(), FatalError);
+
+    // So is a vector length whose byte count wraps past 2^64.
+    sim::StateWriter huge;
+    huge.put_u64(1ull << 61);
+    std::string huge_bytes = huge.take();
+    sim::StateReader huge_r(huge_bytes);
+    EXPECT_THROW(huge_r.get_u64_vec(), FatalError);
 }
 
 TEST(FaultCampaign, ResumesMidCampaignByteIdentically)
