@@ -1,5 +1,6 @@
 #include "codegen/cpp_emit.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -1000,6 +1001,128 @@ class Emitter
             }
             line("}");
             line("(void)rd;");
+        }
+        line("}");
+        line();
+        emit_flat_regs();
+    }
+
+    // All registers at once, in sim::FlatRegsModel's layout: each
+    // register ceil(width/64) words from its own word offset, zero above
+    // its width. Every bits or enum leaf sits at a bit position known
+    // here, so each word is a few shifts and ors of the fields that
+    // overlap it: straight-line code, no loops and no switch.
+    struct Leaf
+    {
+        TypePtr type;
+        std::string expr;
+        /** Bit position from the flat buffer's start. */
+        size_t pos;
+    };
+
+    void
+    collect_leaves(const TypePtr& t, const std::string& expr, size_t pos,
+                   std::vector<Leaf>& out)
+    {
+        if (t->is_bits() || t->is_enum()) {
+            if (t->width > 0)
+                out.push_back({t, expr, pos});
+            return;
+        }
+        for (const Field& f : t->fields)
+            collect_leaves(f.type, expr + "." + sanitize(f.name),
+                           pos + f.offset, out);
+    }
+
+    /** Bits [pos, pos + width) of the buffer `in`, width <= 64. */
+    static std::string
+    extract_bits(size_t pos, uint32_t width)
+    {
+        size_t word = pos / 64, off = pos % 64;
+        std::string v = "in[" + std::to_string(word) + "]";
+        if (off != 0)
+            v = "(" + v + " >> " + std::to_string(off) + ")";
+        if (off + width > 64)
+            v = "(" + v + " | (in[" + std::to_string(word + 1) + "] << " +
+                std::to_string(64 - off) + "))";
+        if (width < 64 && off + width != 64)
+            v = "(" + v + " & " + hex_u64((uint64_t{1} << width) - 1) + ")";
+        return v;
+    }
+
+    void
+    emit_flat_regs()
+    {
+        std::vector<Leaf> leaves;
+        size_t words = 0;
+        for (size_t r = 0; r < d_.num_registers(); ++r) {
+            const TypePtr& t = d_.reg((int)r).type;
+            collect_leaves(t, "Log.data." + reg_name((int)r), 64 * words,
+                           leaves);
+            words += (t->width + 63) / 64;
+        }
+        line("static constexpr size_t kNumRegWords = " +
+             std::to_string(words) + ";");
+        line("void pack_regs(uint64_t* out) const {");
+        {
+            Indent in(*this);
+            // The first piece stored to a word assigns it; later ones
+            // or into it.
+            std::vector<bool> stored(words, false);
+            auto store = [&](size_t word, const std::string& v) {
+                line("out[" + std::to_string(word) + "] " +
+                     (stored[word] ? "|= " : "= ") + v + ";");
+                stored[word] = true;
+            };
+            for (const Leaf& leaf : leaves) {
+                uint32_t w = leaf.type->width;
+                for (uint32_t i = 0; i * 64 < w; ++i) {
+                    std::string piece =
+                        leaf.type->is_enum()
+                            ? "(uint64_t)" + leaf.expr
+                            : "::cuttlesim::detail::word_of(" + leaf.expr +
+                                  ", " + std::to_string(i) + ")";
+                    size_t pos = leaf.pos + 64 * (size_t)i;
+                    size_t off = pos % 64;
+                    store(pos / 64,
+                          off == 0 ? piece
+                                   : piece + " << " + std::to_string(off));
+                    if (off + std::min<uint32_t>(64, w - 64 * i) > 64)
+                        store(pos / 64 + 1, "(" + piece + " >> " +
+                                                std::to_string(64 - off) +
+                                                ")");
+                }
+            }
+            for (size_t word = 0; word < words; ++word)
+                if (!stored[word])
+                    line("out[" + std::to_string(word) + "] = 0;");
+            line("(void)out;");
+        }
+        line("}");
+        line();
+        line("void unpack_regs(const uint64_t* in) {");
+        {
+            Indent in(*this);
+            for (const Leaf& leaf : leaves) {
+                uint32_t w = leaf.type->width;
+                if (leaf.type->is_enum()) {
+                    line(leaf.expr + " = (" + type_cpp(leaf.type) + ")" +
+                         extract_bits(leaf.pos, w) + ";");
+                } else if (w <= 64) {
+                    line(leaf.expr + " = " + type_cpp(leaf.type) + "(" +
+                         extract_bits(leaf.pos, w) + ");");
+                } else {
+                    for (uint32_t i = 0; i * 64 < w; ++i)
+                        line("::cuttlesim::detail::set_word(" + leaf.expr +
+                             ", " + std::to_string(i) + ", " +
+                             extract_bits(leaf.pos + 64 * (size_t)i,
+                                          std::min<uint32_t>(64,
+                                                             w - 64 * i)) +
+                             ");");
+                }
+            }
+            line("log.data = Log.data;");
+            line("(void)in;");
         }
         line("}");
     }

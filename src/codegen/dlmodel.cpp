@@ -18,8 +18,59 @@
 #ifndef CUTTLESIM_SRC_DIR
 #error "CUTTLESIM_SRC_DIR must be defined by the build system"
 #endif
+#ifndef CUTTLESIM_TREE_DIGEST
+#error "CUTTLESIM_TREE_DIGEST must be defined by the build system"
+#endif
 
 namespace koika::codegen {
+
+std::string
+built_tree_digest()
+{
+    return CUTTLESIM_TREE_DIGEST;
+}
+
+/**
+ * Digest of every in-tree file the shim includes (transitively). The
+ * content-addressed cache hashes the workdir sources and the runtime
+ * header, but NOT arbitrary -I trees — embedding this digest in the
+ * shim source folds the harness headers into the cache key, so editing
+ * GeneratedModel or Bits invalidates cached shared objects exactly like
+ * editing the model itself would. src/codegen/CMakeLists.txt hashes the
+ * same files, in the same order, into built_tree_digest().
+ */
+std::string
+tree_digest()
+{
+    static const std::string digest = [] {
+        const char* files[] = {
+            "/codegen/generated_model.hpp", "/sim/model.hpp",
+            "/sim/state.hpp",               "/base/bits.hpp",
+            "/base/bits.cpp",               "/base/error.hpp",
+            "/base/error.cpp",
+        };
+        Sha256 h;
+        for (const char* f : files)
+            h.update(read_file(std::string(CUTTLESIM_SRC_DIR) + f));
+        return h.hex_digest();
+    }();
+    return digest;
+}
+
+void
+check_tree_digest(const std::string& design, const std::string& built,
+                  const std::string& on_disk)
+{
+    if (built == on_disk)
+        return;
+    fatal_diag(Diagnostic{.phase = "dlopen",
+                          .design = design,
+                          .command = "",
+                          .detail = CUTTLESIM_SRC_DIR},
+               "compiled-model headers changed since this binary was "
+               "built (tree digest %s, now %s): rebuild it",
+               built.c_str(), on_disk.c_str());
+}
 
 namespace {
 
@@ -40,32 +91,6 @@ struct LoadedLib
  * inside the object, so dlopen(RTLD_LOCAL) needs nothing from the host
  * beyond libstdc++.
  */
-/**
- * Digest of every in-tree file the shim includes (transitively). The
- * content-addressed cache hashes the workdir sources and the runtime
- * header, but NOT arbitrary -I trees — embedding this digest in the
- * shim source folds the harness headers into the cache key, so editing
- * GeneratedModel or Bits invalidates cached shared objects exactly like
- * editing the model itself would.
- */
-std::string
-tree_digest()
-{
-    static const std::string digest = [] {
-        const char* files[] = {
-            "/codegen/generated_model.hpp", "/sim/model.hpp",
-            "/sim/state.hpp",               "/base/bits.hpp",
-            "/base/bits.cpp",               "/base/error.hpp",
-            "/base/error.cpp",
-        };
-        Sha256 h;
-        for (const char* f : files)
-            h.update(read_file(std::string(CUTTLESIM_SRC_DIR) + f));
-        return h.hex_digest();
-    }();
-    return digest;
-}
-
 std::string
 shim_source(const std::string& cls, const std::string& design_name)
 {
@@ -112,6 +137,10 @@ thread_workdir(const std::string& base)
 LoadedLib
 load_library(const Design& design, const DlModelOptions& options)
 {
+    // Before compiling: a shared object built from headers this binary
+    // was not compiled against disagrees with it on class layouts and
+    // vtables, and crashes at the first call instead of diagnosing.
+    check_tree_digest(design.name(), built_tree_digest(), tree_digest());
     std::string cls = model_class_name(design);
     std::string base = options.workdir;
     if (base.empty())

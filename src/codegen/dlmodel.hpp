@@ -48,9 +48,26 @@ struct DlModelOptions
 };
 
 /**
+ * Digests of the in-tree headers a compiled model's shim includes: as
+ * this binary was compiled against them (baked in by the build), and as
+ * the source tree holds them now. load_compiled_model compiles the
+ * model against the tree, so when the two differ it refuses through
+ * check_tree_digest instead of loading an object whose class layouts
+ * and vtables disagree with this binary's.
+ */
+std::string built_tree_digest();
+std::string tree_digest();
+
+/** FatalError (Diagnostic phase "dlopen") naming both digests and
+ *  asking for a rebuild, unless `built` equals `on_disk`. */
+void check_tree_digest(const std::string& design, const std::string& built,
+                       const std::string& on_disk);
+
+/**
  * Emit, compile (or fetch from cache), dlopen, and instantiate `design`
  * as an in-process model. The returned model implements
- * sim::RuleStatsModel, sim::CoverageModel, and sim::CheckpointableModel
+ * sim::RuleStatsModel, sim::CoverageModel, sim::CheckpointableModel and
+ * sim::FlatRegsModel
  * (instrumentation is always emitted; the compiled engine must be a
  * drop-in for the T5 interpreter everywhere, warm trial contexts
  * included). Repeated calls on one thread with the same options reuse

@@ -5,7 +5,8 @@
  * Generated models are plain classes with no virtual calls (the C++
  * compiler must be free to inline across rules, §3). This template wraps
  * one in the harness-facing sim::Model interface, translating between the
- * model's flat word representation and koika::Bits.
+ * model's flat word representation and koika::Bits, and passes the
+ * emitted all-register pack/unpack through as sim::FlatRegsModel.
  *
  * The adapter implements sim::RuleStatsModel, so harness and
  * observability tooling (src/obs/) works identically on compiled and
@@ -28,7 +29,8 @@ namespace koika::codegen {
 template <typename M>
 class GeneratedModel final : public sim::RuleStatsModel,
                              public sim::CoverageModel,
-                             public sim::CheckpointableModel
+                             public sim::CheckpointableModel,
+                             public sim::FlatRegsModel
 {
     // RTL netlist models expose no rule structure at all; Cuttlesim
     // models always have kNumRules/kRuleNames, counters unless emitted
@@ -59,6 +61,22 @@ class GeneratedModel final : public sim::RuleStatsModel,
             return 0;
     }
 
+    static constexpr size_t kNumReasonSlots =
+        static_num_rules() * (size_t)sim::kNumAbortReasons;
+
+    /** An array's length prefix, which must be `want`: the reads that
+     *  follow copy straight into impl_'s fixed-size arrays. */
+    static uint64_t
+    read_length(sim::StateReader& r, const char* section, size_t want)
+    {
+        uint64_t n = r.get_u64();
+        if (n != want)
+            fatal("compiled model state: section '%s' holds %llu "
+                  "entries, the model has %zu",
+                  section, (unsigned long long)n, want);
+        return n;
+    }
+
   public:
     M& impl() { return impl_; }
     const M& impl() const { return impl_; }
@@ -85,6 +103,12 @@ class GeneratedModel final : public sim::RuleStatsModel,
 
     uint64_t cycles_run() const override { return impl_.cycles; }
     size_t num_regs() const override { return M::kNumRegs; }
+
+    // -- FlatRegsModel ------------------------------------------------------
+    // Both emitters (cpp_emit, rtl_emit) generate the straight-line pair.
+    size_t num_reg_words() const override { return M::kNumRegWords; }
+    void pack_regs(uint64_t* out) const override { impl_.pack_regs(out); }
+    void unpack_regs(const uint64_t* in) override { impl_.unpack_regs(in); }
 
     // -- RuleStatsModel -----------------------------------------------------
     // Rules are indexed by schedule position (the generated counters'
@@ -205,21 +229,23 @@ class GeneratedModel final : public sim::RuleStatsModel,
         return key;
     }
 
+    // Straight from and into impl_'s arrays; the layout is the one
+    // every engine's state uses (u64 length, then the entries).
     void
     save_extra_state(sim::StateWriter& w) const override
     {
         w.put_u64(impl_.cycles);
         if constexpr (kHasCounters) {
-            w.put_bool_vec(fired());
-            w.put_u64_vec(rule_commit_counts());
-            w.put_u64_vec(rule_abort_counts());
+            w.put_bools(impl_.last_fired, static_num_rules());
+            w.put_u64s(impl_.commit_count, static_num_rules());
+            w.put_u64s(impl_.abort_count, static_num_rules());
         }
         if constexpr (kHasAbortReasons)
-            w.put_u64_vec(rule_abort_reason_counts());
+            w.put_u64s(impl_.abort_reason_count, kNumReasonSlots);
         if constexpr (kHasCoverage) {
-            w.put_u64_vec(stmt_counts());
-            w.put_u64_vec(branch_taken_counts());
-            w.put_u64_vec(branch_not_taken_counts());
+            w.put_u64s(impl_.stmt_count, M::kNumNodes);
+            w.put_u64s(impl_.branch_taken_count, M::kNumNodes);
+            w.put_u64s(impl_.branch_not_taken_count, M::kNumNodes);
         }
     }
 
@@ -228,38 +254,25 @@ class GeneratedModel final : public sim::RuleStatsModel,
     {
         impl_.cycles = r.get_u64();
         if constexpr (kHasCounters) {
-            std::vector<bool> fired = r.get_bool_vec();
-            std::vector<uint64_t> commits = r.get_u64_vec();
-            std::vector<uint64_t> aborts = r.get_u64_vec();
-            KOIKA_CHECK(fired.size() == static_num_rules() &&
-                        commits.size() == static_num_rules() &&
-                        aborts.size() == static_num_rules());
-            for (size_t i = 0; i < static_num_rules(); ++i) {
-                impl_.last_fired[i] = fired[i];
-                impl_.commit_count[i] = commits[i];
-                impl_.abort_count[i] = aborts[i];
-            }
+            r.get_bools(impl_.last_fired,
+                        read_length(r, "fired", static_num_rules()));
+            r.get_u64s(impl_.commit_count,
+                       read_length(r, "commit counts", static_num_rules()));
+            r.get_u64s(impl_.abort_count,
+                       read_length(r, "abort counts", static_num_rules()));
         }
-        if constexpr (kHasAbortReasons) {
-            std::vector<uint64_t> reasons = r.get_u64_vec();
-            KOIKA_CHECK(reasons.size() ==
-                        static_num_rules() *
-                            (size_t)sim::kNumAbortReasons);
-            for (size_t i = 0; i < reasons.size(); ++i)
-                impl_.abort_reason_count[i] = reasons[i];
-        }
+        if constexpr (kHasAbortReasons)
+            r.get_u64s(impl_.abort_reason_count,
+                       read_length(r, "abort reasons", kNumReasonSlots));
         if constexpr (kHasCoverage) {
-            std::vector<uint64_t> stmt = r.get_u64_vec();
-            std::vector<uint64_t> taken = r.get_u64_vec();
-            std::vector<uint64_t> not_taken = r.get_u64_vec();
-            KOIKA_CHECK(stmt.size() == (size_t)M::kNumNodes &&
-                        taken.size() == (size_t)M::kNumNodes &&
-                        not_taken.size() == (size_t)M::kNumNodes);
-            for (size_t i = 0; i < (size_t)M::kNumNodes; ++i) {
-                impl_.stmt_count[i] = stmt[i];
-                impl_.branch_taken_count[i] = taken[i];
-                impl_.branch_not_taken_count[i] = not_taken[i];
-            }
+            r.get_u64s(impl_.stmt_count,
+                       read_length(r, "statement coverage", M::kNumNodes));
+            r.get_u64s(impl_.branch_taken_count,
+                       read_length(r, "branch-taken coverage",
+                                   M::kNumNodes));
+            r.get_u64s(impl_.branch_not_taken_count,
+                       read_length(r, "branch-not-taken coverage",
+                                   M::kNumNodes));
         }
     }
 

@@ -5,11 +5,11 @@
  *
  * run_injection, run_injection_batch and every campaign pool item run
  * through run_lanes below. Per cycle the golden advances once; its
- * abort-count deltas, and its registers while some lane still scans for
- * divergence, are read once and shared by every lane's detection and
- * divergence scans; then each live lane advances, is scanned, and is
- * injected or re-forced at its boundary. A lane starts in one of two
- * ways:
+ * abort-count deltas, and its register words while some lane still
+ * scans for divergence, are read once and shared by every lane's
+ * detection and divergence scans; then each live lane advances, is
+ * scanned, and is injected or re-forced at its boundary. A lane starts
+ * in one of two ways:
  *
  *   - at cycle 0, beside the golden: a lone lane (run_injection, a
  *     --batch=1 campaign) and every lane of a target that cannot be
@@ -22,10 +22,12 @@
  *     obs::CoverageCollector::save_state. The lane then steps H - C - 1
  *     cycles.
  *
- * A lone lane is not forked: the copy goes through serialization, and
- * on the compiled engine, where the model is under half of trial time,
- * skipping the prefix bought nothing measurable (ROADMAP item 1 makes
- * capture and restore memcpys, in sim/system.cpp alone).
+ * Registers move as flat words (sim::RegisterWords): the golden's
+ * per-cycle read and each lane's divergence scan are one word buffer
+ * each, and on the compiled engine capture and restore are memory
+ * copies. A lone lane is still not forked: forking it moves both
+ * campaign speedup references in bench_e2e (the T5 reference skips its
+ * prefix too), so it is a separate, measured change (ROADMAP 2(a)).
  *
  * A lane whose engine faults is masked out for the rest of the batch;
  * once every lane is, the golden stops too. Records and coverage maps
@@ -138,7 +140,6 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
         }
     };
 
-    size_t nregs = design.num_registers();
     std::vector<Lane> lanes(count);
     for (size_t l = 0; l < count; ++l) {
         const FaultSpec& spec = specs[l];
@@ -196,7 +197,7 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
         abort_delta.assign(gold_aborts.size(), 0);
         reason_delta.assign(gold_reasons.size(), 0);
     }
-    std::vector<Bits> gregs(nregs);
+    std::vector<uint64_t> gwords;
 
     if (lone)
         phase.emplace("trial/run");
@@ -227,7 +228,7 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
                 gold_reasons = gr;
             }
 
-            // Snapshot the golden's registers once per cycle, only
+            // Read the golden's register words once per cycle, only
             // when some lane's divergence scan still needs them.
             bool need_regs = false;
             for (const Lane& lane : lanes)
@@ -235,8 +236,7 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
                     !lane.rec.diverged)
                     need_regs = true;
             if (need_regs)
-                for (size_t r = 0; r < nregs; ++r)
-                    gregs[r] = golden.model->get_reg((int)r);
+                sim::read_words(golden, gwords);
 
             for (Lane& lane : lanes) {
                 if (!lane.live || lane.masked)
@@ -310,8 +310,7 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
                 // Divergence scan before (re-)forcing, so it measures
                 // what the fault propagated into, not the forced bit.
                 if (lane.injected && !lane.rec.diverged) {
-                    int r =
-                        sim::first_difference(*lane.target.model, gregs);
+                    int r = sim::first_difference(lane.target, gwords);
                     if (r >= 0) {
                         lane.rec.diverged = true;
                         lane.rec.first_divergence_cycle = c;
@@ -349,8 +348,7 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
     // -- Unpack: per-trial classification and coverage ----------------------
     if (!lone)
         phase.emplace("batch/unpack");
-    for (size_t r = 0; r < nregs; ++r)
-        gregs[r] = golden.model->get_reg((int)r);
+    sim::read_words(golden, gwords);
     for (size_t l = 0; l < count; ++l) {
         Lane& lane = lanes[l];
         InjectionRecord& rec = lane.rec;
@@ -358,7 +356,7 @@ run_lanes(const Design& design, TrialContext& ctx, const FaultSpec* specs,
             // The fault never fired: the lane IS the golden run.
             rec.final_state_matches = true;
         } else if (!lane.masked) {
-            int r = sim::first_difference(*lane.target.model, gregs);
+            int r = sim::first_difference(lane.target, gwords);
             rec.final_state_matches = r < 0;
             if (r >= 0 && !rec.diverged) {
                 rec.diverged = true;

@@ -68,20 +68,25 @@ class MemoryDevice
     void
     save_state(sim::StateWriter& w) const
     {
-        w.put_string(std::string(mem_.begin(), mem_.end()));
+        w.put_bytes(mem_.data(), mem_.size());
         w.put_u64(tohost_.size());
         for (uint32_t v : tohost_)
             w.put_u64(v);
     }
 
+    /** Restore a save_state image; its RAM must be this device's size. */
     void
     load_state(sim::StateReader& r)
     {
-        std::string bytes = r.get_string();
-        mem_.assign(bytes.begin(), bytes.end());
-        tohost_.clear();
         uint64_t n = r.get_u64();
-        for (uint64_t i = 0; i < n; ++i)
+        if (n != mem_.size())
+            fatal("memory state: RAM image has %llu bytes, the device "
+                  "has %zu",
+                  (unsigned long long)n, mem_.size());
+        r.get_raw(mem_.data(), n);
+        tohost_.clear();
+        uint64_t count = r.get_u64();
+        for (uint64_t i = 0; i < count; ++i)
             tohost_.push_back((uint32_t)r.get_u64());
     }
 

@@ -34,6 +34,16 @@ fired_names(const sim::Model& m)
     return names;
 }
 
+/** First register where `b` differs from `a`, or -1: a compare of the
+ *  two systems' register words, whatever their engines. */
+int
+first_difference(const sim::System& a, const sim::System& b)
+{
+    std::vector<uint64_t> words;
+    sim::read_words(a, words);
+    return sim::first_difference(b, words);
+}
+
 } // namespace
 
 DivergenceReport
@@ -67,7 +77,7 @@ bisect_divergence(const Design& design, const sim::SystemFactory& make_a,
         if (done % stride != 0 && done != config.horizon)
             continue;
         ++rep.state_compares;
-        if (sim::first_difference(*b.model, a.model->snapshot()) >= 0) {
+        if (first_difference(a, b) >= 0) {
             hi = done;
             bracketed = true;
             break;
@@ -94,7 +104,7 @@ bisect_divergence(const Design& design, const sim::SystemFactory& make_a,
         }
         rep.replayed_cycles += 2 * (mid - lo);
         ++rep.state_compares;
-        if (sim::first_difference(*pb.model, pa.model->snapshot()) < 0) {
+        if (first_difference(pa, pb) < 0) {
             sim::capture(pa, ck_a);
             sim::capture(pb, ck_b);
             rep.checkpoints += 2;
@@ -116,7 +126,7 @@ bisect_divergence(const Design& design, const sim::SystemFactory& make_a,
     }
     rep.replayed_cycles += 2 * (hi - lo);
     ++rep.state_compares;
-    int first_reg = sim::first_difference(*fb.model, fa.model->snapshot());
+    int first_reg = first_difference(fa, fb);
     KOIKA_CHECK(first_reg >= 0);
     rep.diverged = true;
     rep.cycle = hi;

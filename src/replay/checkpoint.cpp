@@ -26,6 +26,20 @@ reject(const std::string& why)
     fatal_diag(std::move(diag), "invalid checkpoint: %s", why.c_str());
 }
 
+/** Replay one section through its owner's loader. A malformed section
+ *  is reported as a checkpoint diagnostic that names it. */
+template <typename Load>
+void
+load_section(const std::string& name, const std::string& bytes, Load load)
+{
+    sim::StateReader r(bytes);
+    try {
+        load(r);
+    } catch (const FatalError& e) {
+        reject("section '" + name + "': " + e.message());
+    }
+}
+
 void
 put_u32le(std::string& out, uint32_t v)
 {
@@ -99,10 +113,11 @@ Checkpoint::restore_into(const Design& d, sim::Model& model) const
         model.set_reg((int)r, regs[r]);
     }
     if (auto* cp = dynamic_cast<sim::CheckpointableModel*>(&model)) {
-        if (const std::string* blob =
-                section("engine:" + cp->state_key())) {
-            sim::StateReader rd(*blob);
-            cp->load_extra_state(rd);
+        std::string name = "engine:" + cp->state_key();
+        if (const std::string* blob = section(name)) {
+            load_section(name, *blob, [cp](sim::StateReader& r) {
+                cp->load_extra_state(r);
+            });
             return true;
         }
     }
@@ -129,8 +144,7 @@ Checkpoint::restore_into(const Design& design, sim::System& system) const
         if (system.load_env == nullptr)
             reject("the checkpoint carries peripheral state ('env') "
                    "but the system has no peripherals");
-        sim::StateReader r(*env);
-        system.load_env(r);
+        load_section("env", *env, system.load_env);
     }
     return engine;
 }

@@ -208,7 +208,37 @@ class RtlEmitter
             os_ << "          case " << r << ": r" << r
                 << " = rd.get_bits<" << d.reg((int)r).type->width
                 << ">(); break;\n";
-        os_ << "        }\n        (void)rd;\n    }\n";
+        os_ << "        }\n        (void)rd;\n    }\n\n";
+        // sim::FlatRegsModel's layout: ceil(width/64) words per
+        // register at its own offset, zero above its width. Registers
+        // are plain bits, so every word is one load or store.
+        size_t total = 0;
+        std::ostringstream pack, unpack;
+        for (size_t r = 0; r < d.num_registers(); ++r) {
+            uint32_t width = d.reg((int)r).type->width;
+            if (width == 0)
+                continue;
+            if (width <= 64) {
+                pack << "        out[" << total << "] = r" << r
+                     << ".u64();\n";
+                unpack << "        r" << r << " = bits<" << width
+                       << ">(in[" << total << "]);\n";
+            } else {
+                for (uint32_t i = 0; i * 64 < width; ++i) {
+                    pack << "        out[" << total + i << "] = r" << r
+                         << ".w[" << i << "];\n";
+                    unpack << "        r" << r << ".w[" << i << "] = in["
+                           << total + i << "];\n";
+                }
+            }
+            total += (width + 63) / 64;
+        }
+        os_ << "    static constexpr size_t kNumRegWords = " << total
+            << ";\n";
+        os_ << "    void pack_regs(uint64_t* out) const {\n"
+            << pack.str() << "        (void)out;\n    }\n\n";
+        os_ << "    void unpack_regs(const uint64_t* in) {\n"
+            << unpack.str() << "        (void)in;\n    }\n";
     }
 
     const Netlist& nl_;

@@ -12,8 +12,9 @@
  * cycle, while the Cuttlesim model exits rules early.
  *
  * The generated class has the same flat register interface
- * (get_reg_words / set_reg_words / kNumRegs / cycles) as Cuttlesim
- * models, so the same harness and the same peripherals drive both.
+ * (get_reg_words / set_reg_words / pack_regs / unpack_regs / kNumRegs /
+ * cycles) as Cuttlesim models, so the same harness and the same
+ * peripherals drive both.
  */
 #pragma once
 

@@ -85,6 +85,27 @@ class Model
 };
 
 /**
+ * Capability: all committed registers as one flat word buffer. Each
+ * register takes ceil(width/64) little-endian words, in design order,
+ * zero above its width — the register payload of a cuttlesim-ckpt-v1
+ * file. GeneratedModel implements it with one emitted straight-line
+ * pack and unpack; engines without it go through get_reg/set_reg.
+ * sim::RegisterWords (sim/system.hpp) looks it up once per system.
+ */
+class FlatRegsModel
+{
+  public:
+    virtual ~FlatRegsModel() = default;
+
+    /** Length of the flat form, in words. */
+    virtual size_t num_reg_words() const = 0;
+    /** Write every committed register to out[0, num_reg_words()). */
+    virtual void pack_regs(uint64_t* out) const = 0;
+    /** Set every register from the flat form, as set_reg would. */
+    virtual void unpack_regs(const uint64_t* in) = 0;
+};
+
+/**
  * A Model that can additionally report per-rule activity. Implemented by
  * the tier engines (always) and by GeneratedModel when the wrapped
  * compiled model was emitted with counters; the observability layer

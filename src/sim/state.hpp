@@ -3,18 +3,21 @@
  * Flat byte-stream serialization of engine and peripheral state.
  *
  * The checkpoint subsystem (src/replay/) persists *committed* register
- * state generically through sim::Model::get_reg/set_reg. Everything
- * else a byte-identical resume needs — cycle counters, per-rule
- * commit/abort tallies, coverage arrays, peripheral RAM, pending
- * memory responses — is auxiliary state that only the owning component
- * can name. StateWriter/StateReader give those components one tiny,
- * versionable wire format (little-endian, length-prefixed vectors) to
- * serialize through, and CheckpointableModel is the capability an
- * engine implements to participate. Discovery is by dynamic_cast, the
- * same pattern RuleStatsModel and CoverageModel use.
+ * state generically through sim::Model::get_reg/set_reg (or the flat
+ * word form of sim::FlatRegsModel). Everything else a byte-identical
+ * resume needs — cycle counters, per-rule commit/abort tallies,
+ * coverage arrays, peripheral RAM, pending memory responses — is
+ * auxiliary state that only the owning component can name.
+ * StateWriter/StateReader give those components one tiny, versionable
+ * wire format (little-endian, length-prefixed vectors) to serialize
+ * through; u64 arrays and byte blobs move with one memcpy on
+ * little-endian hosts. CheckpointableModel is the capability an engine
+ * implements to participate. Discovery is by dynamic_cast, the same
+ * pattern RuleStatsModel and CoverageModel use.
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -59,12 +62,32 @@ class StateWriter
 
     void put_string(const std::string& s) { put_bytes(s.data(), s.size()); }
 
+    /** A length-prefixed u64 array: one copy on little-endian hosts. */
+    void
+    put_u64s(const uint64_t* v, size_t n)
+    {
+        put_u64(n);
+        if constexpr (std::endian::native == std::endian::little) {
+            buf_.append((const char*)v, n * sizeof(uint64_t));
+        } else {
+            for (size_t i = 0; i < n; ++i)
+                put_u64(v[i]);
+        }
+    }
+
     void
     put_u64_vec(const std::vector<uint64_t>& v)
     {
-        put_u64(v.size());
-        for (uint64_t x : v)
-            put_u64(x);
+        put_u64s(v.data(), v.size());
+    }
+
+    /** A length-prefixed bool array, one 0/1 byte each. */
+    void
+    put_bools(const bool* v, size_t n)
+    {
+        put_u64(n);
+        for (size_t i = 0; i < n; ++i)
+            buf_.push_back(v[i] ? 1 : 0);
     }
 
     void
@@ -120,21 +143,49 @@ class StateReader
         return s;
     }
 
+    /** `n` raw bytes (no length prefix) into `out`. */
+    void
+    get_raw(void* out, uint64_t n)
+    {
+        need(n);
+        if (n == 0)
+            return; // `out` may be null (an empty vector's data())
+        std::memcpy(out, buf_.data() + pos_, n);
+        pos_ += n;
+    }
+
+    /** `n` u64s (no length prefix; the caller read and checked it)
+     *  into `out`: one copy on little-endian hosts. */
+    void
+    get_u64s(uint64_t* out, uint64_t n)
+    {
+        need_u64s(n);
+        if constexpr (std::endian::native == std::endian::little) {
+            get_raw(out, n * sizeof(uint64_t));
+        } else {
+            for (uint64_t i = 0; i < n; ++i)
+                out[i] = get_u64();
+        }
+    }
+
     std::vector<uint64_t>
     get_u64_vec()
     {
         uint64_t n = get_u64();
-        // n * 8 would wrap for a corrupt length; compare by division.
-        if (n > remaining() / 8)
-            fatal("checkpoint state section truncated: %llu u64s "
-                  "wanted, %llu bytes left",
-                  (unsigned long long)n,
-                  (unsigned long long)remaining());
-        std::vector<uint64_t> v;
-        v.reserve(n);
-        for (uint64_t i = 0; i < n; ++i)
-            v.push_back(get_u64());
+        need_u64s(n);
+        std::vector<uint64_t> v(n);
+        get_u64s(v.data(), n);
         return v;
+    }
+
+    /** `n` bools (no length prefix), one byte each, into `out`. */
+    void
+    get_bools(bool* out, uint64_t n)
+    {
+        need(n);
+        for (uint64_t i = 0; i < n; ++i)
+            out[i] = buf_[pos_ + i] != 0;
+        pos_ += n;
     }
 
     std::vector<bool>
@@ -154,6 +205,17 @@ class StateReader
     bool done() const { return pos_ == buf_.size(); }
 
   private:
+    void
+    need_u64s(uint64_t n)
+    {
+        // n * 8 would wrap for a corrupt length; compare by division.
+        if (n > remaining() / 8)
+            fatal("checkpoint state section truncated: %llu u64s "
+                  "wanted, %llu bytes left",
+                  (unsigned long long)n,
+                  (unsigned long long)remaining());
+    }
+
     void
     need(uint64_t n)
     {

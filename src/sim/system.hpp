@@ -4,8 +4,11 @@
  * copy of a system — a fault trial's pristine restore, a batch lane
  * forked off the golden run, bisection's probe points — goes through
  * capture()/restore() below; replay::Checkpoint is the durable form of
- * the same state. The dlopened model shim does not include this header
- * (codegen/dlmodel.cpp's tree_digest).
+ * the same state. Registers move as flat words (RegisterWords), the
+ * engine's and peripherals' state as StateWriter bytes, so on a
+ * compiled model a capture or restore is a few memory copies. The
+ * dlopened model shim does not include this header (codegen/dlmodel.cpp's
+ * tree_digest).
  */
 #pragma once
 
@@ -18,6 +21,43 @@
 #include "sim/state.hpp"
 
 namespace koika::sim {
+
+/**
+ * A model's committed registers as one flat word buffer: each register
+ * ceil(width/64) little-endian words, design order, zero above its
+ * width (FlatRegsModel's layout, and a cuttlesim-ckpt-v1 file's
+ * register payload). Built once per system (System::words()): the
+ * FlatRegsModel lookup is a dynamic_cast, which across the dlopen
+ * boundary compares type names. Models with the capability move all
+ * registers in one call; the others go through get_reg/set_reg.
+ */
+class RegisterWords
+{
+  public:
+    explicit RegisterWords(Model& model);
+
+    const Model* model() const { return model_; }
+    /** Length of the flat form, in words. */
+    size_t size() const { return owner_.size(); }
+    /** Every committed register into out[0, size()). */
+    void read(uint64_t* out) const;
+    /** Set every register from in[0, size()). */
+    void write(const uint64_t* in) const;
+    /** Index of the first register whose committed value differs from
+     *  `words` (size() of them), or -1 when all are equal. */
+    int first_difference(const uint64_t* words) const;
+
+  private:
+    Model* model_;
+    FlatRegsModel* flat_;
+    std::vector<uint32_t> widths_;
+    /** Register r's first word; offsets_[num_regs] == size(). */
+    std::vector<uint32_t> offsets_;
+    /** The register each word belongs to. */
+    std::vector<int> owner_;
+    /** first_difference's copy of the current registers. */
+    mutable std::vector<uint64_t> scratch_;
+};
 
 /**
  * One fresh instance of the system under test: the model plus whatever
@@ -39,6 +79,13 @@ struct System
     std::function<void(StateWriter&)> save_env;
     std::function<void(StateReader&)> load_env;
     std::shared_ptr<void> context;
+
+    /** `model`'s registers as flat words; built on first use and again
+     *  whenever `model` has been replaced since. */
+    const RegisterWords& words() const;
+
+  private:
+    mutable std::unique_ptr<RegisterWords> words_;
 };
 
 /** Builds a fresh, identically-initialized system per call. */
@@ -47,8 +94,8 @@ using SystemFactory = std::function<System()>;
 /** A system's state between cycles, held in memory. */
 struct SystemState
 {
-    /** Committed registers, design order. */
-    std::vector<Bits> regs;
+    /** Committed registers in RegisterWords' flat layout. */
+    std::vector<uint64_t> words;
     /** CheckpointableModel::state_key() and save_extra_state bytes;
      *  both empty when the engine is not checkpointable. */
     std::string state_key;
@@ -76,8 +123,13 @@ void capture(const System& system, SystemState& state);
  */
 bool restore(System& system, const SystemState& state);
 
+/** `system`'s committed registers into `words` (resized), in
+ *  SystemState::words' layout. */
+void read_words(const System& system, std::vector<uint64_t>& words);
+
 /** Index of the first register whose committed value differs from
- *  `regs` (design order), or -1 when all are equal. */
-int first_difference(const Model& model, const std::vector<Bits>& regs);
+ *  `words` (SystemState::words' layout), or -1 when all are equal. */
+int first_difference(const System& system,
+                     const std::vector<uint64_t>& words);
 
 } // namespace koika::sim

@@ -448,3 +448,30 @@ TEST(DlModel, OneCacheProbePerThreadNotPerLoad)
     EXPECT_EQ(m2->cycles_run(), 0u);
     EXPECT_EQ(m1->get_reg(0).to_u64(), 2u);
 }
+
+TEST(DlModel, StaleBuildIsADiagnostic)
+{
+    // The headers a model compiles against changed after this binary
+    // was built: refuse in the dlopen phase, naming both digests,
+    // instead of loading an object whose vtables disagree with ours.
+    const std::string built(64, 'a'), on_disk(64, 'b');
+    try {
+        check_tree_digest("counter", built, on_disk);
+        FAIL() << "a digest mismatch was accepted";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.diagnostic().phase, "dlopen");
+        EXPECT_EQ(e.diagnostic().design, "counter");
+        EXPECT_NE(e.message().find(built), std::string::npos);
+        EXPECT_NE(e.message().find(on_disk), std::string::npos);
+        EXPECT_NE(e.message().find("rebuild"), std::string::npos);
+    }
+    EXPECT_NO_THROW(check_tree_digest("counter", built, built));
+}
+
+TEST(DlModel, BuiltDigestMatchesTheTree)
+{
+    // A normal build bakes in the digest of the same files, in the
+    // same order, that tree_digest() reads at run time.
+    EXPECT_EQ(built_tree_digest().size(), 64u);
+    EXPECT_EQ(built_tree_digest(), tree_digest());
+}

@@ -465,6 +465,93 @@ TEST(FaultBatch, ForkedLanesStepOnlyTheirSuffix)
     EXPECT_EQ(*calls, want);
 }
 
+namespace {
+
+/** The counter design as a hand-written engine with the flat-register
+ *  capability, counting its get_reg calls. */
+class FlatCounter final : public sim::Model,
+                          public sim::FlatRegsModel,
+                          public sim::CheckpointableModel
+{
+  public:
+    explicit FlatCounter(std::shared_ptr<uint64_t> get_regs)
+        : get_regs_(std::move(get_regs))
+    {
+    }
+
+    void
+    cycle() override
+    {
+        x_ = (x_ + 1) & 0xff;
+        ++cycles_;
+    }
+
+    Bits
+    get_reg(int) const override
+    {
+        ++*get_regs_;
+        return Bits::of(8, x_);
+    }
+
+    void set_reg(int, const Bits& v) override { x_ = v.to_u64(); }
+    uint64_t cycles_run() const override { return cycles_; }
+    size_t num_regs() const override { return 1; }
+
+    size_t num_reg_words() const override { return 1; }
+    void pack_regs(uint64_t* out) const override { out[0] = x_; }
+    void unpack_regs(const uint64_t* in) override { x_ = in[0]; }
+
+    std::string state_key() const override { return "flat-counter"; }
+    void
+    save_extra_state(sim::StateWriter& w) const override
+    {
+        w.put_u64(cycles_);
+    }
+    void
+    load_extra_state(sim::StateReader& r) override
+    {
+        cycles_ = r.get_u64();
+    }
+
+  private:
+    std::shared_ptr<uint64_t> get_regs_;
+    uint64_t x_ = 0, cycles_ = 0;
+};
+
+} // namespace
+
+TEST(FaultBatch, LoneLaneScansWordsNotRegisters)
+{
+    // A stuck-at-0 on a bit that is already 0 never diverges, so the
+    // lone lane scans for divergence on every cycle to the horizon.
+    // With the flat-register capability those scans, the golden's
+    // per-cycle read and the restores move words: get_reg is called
+    // the same number of times at horizon H and 2H.
+    auto d = counter_design();
+    auto calls = std::make_shared<uint64_t>(0);
+    TargetFactory factory = [calls]() {
+        FaultTarget t;
+        t.model = std::make_unique<FlatCounter>(calls);
+        return t;
+    };
+    auto get_regs = [&](uint64_t h) {
+        TrialContext ctx(factory);
+        *calls = 0;
+        for (int trial = 0; trial < 2; ++trial) {
+            InjectionRecord rec = run_injection(
+                *d, ctx,
+                {.cycle = 5, .reg = 0, .bit = 7,
+                 .kind = FaultKind::kStuckAt0, .stuck_cycles = 1},
+                h);
+            EXPECT_FALSE(rec.diverged);
+            EXPECT_EQ(rec.outcome, Outcome::kMasked);
+        }
+        return *calls;
+    };
+    const uint64_t h = 60;
+    EXPECT_EQ(get_regs(h), get_regs(2 * h));
+}
+
 TEST(FaultBatch, LoneLaneGoldenStopsAtEngineFault)
 {
     // Like the oracle's break: once the only lane faults, its golden

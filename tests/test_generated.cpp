@@ -414,3 +414,104 @@ TEST(Generated, CheckpointRoundtrip)
     GeneratedModel<cuttlesim::models::collatz> plain2;
     EXPECT_TRUE(pck.restore_into(*cd, plain2));
 }
+
+namespace {
+
+/** pack_regs must lay out exactly the words get_reg reports, register
+ *  after register, and unpack_regs must set what it packed. */
+template <typename M>
+void
+expect_flat_regs_match_get_reg(const std::string& design_name, int cycles)
+{
+    auto d = build_design(design_name);
+    GeneratedModel<M> a;
+    for (int c = 0; c < cycles; ++c)
+        a.cycle();
+    std::vector<uint64_t> want;
+    for (size_t r = 0; r < d->num_registers(); ++r) {
+        Bits v = a.get_reg((int)r);
+        want.insert(want.end(), v.words(), v.words() + v.nwords());
+    }
+    sim::FlatRegsModel& flat = a;
+    ASSERT_EQ(flat.num_reg_words(), want.size());
+    std::vector<uint64_t> got(want.size(), ~0ull);
+    flat.pack_regs(got.data());
+    EXPECT_EQ(got, want);
+
+    GeneratedModel<M> b;
+    static_cast<sim::FlatRegsModel&>(b).unpack_regs(got.data());
+    for (size_t r = 0; r < d->num_registers(); ++r)
+        EXPECT_EQ(b.get_reg((int)r), a.get_reg((int)r))
+            << design_name << " register " << d->reg((int)r).name;
+    // The next cycle must start from the unpacked state, as after
+    // set_reg: both logs see it.
+    a.cycle();
+    b.cycle();
+    for (size_t r = 0; r < d->num_registers(); ++r)
+        EXPECT_EQ(b.get_reg((int)r), a.get_reg((int)r))
+            << design_name << " register " << d->reg((int)r).name
+            << " one cycle later";
+}
+
+} // namespace
+
+TEST(Generated, FlatRegsMatchGetReg)
+{
+    expect_flat_regs_match_get_reg<cuttlesim::models::collatz>("collatz",
+                                                               57);
+    expect_flat_regs_match_get_reg<cuttlesim::models::rv32i_instr>("rv32i",
+                                                                   213);
+    expect_flat_regs_match_get_reg<cuttlesim::models::rv32i_rtl>("rv32i",
+                                                                 213);
+    expect_flat_regs_match_get_reg<cuttlesim::models::fft>("fft", 31);
+}
+
+TEST(Generated, ShortCoverageSectionIsAFatalError)
+{
+    // load_extra_state copies straight into the model's fixed-size
+    // arrays, so a length that differs from the model's must stop it
+    // before the copy, as a diagnostic rather than an abort.
+    GeneratedModel<cuttlesim::models::rv32i_instr> m;
+    for (int i = 0; i < 40; ++i)
+        m.cycle();
+    const sim::RuleStatsModel& rs = m;
+    const sim::CoverageModel& cov = m;
+    sim::StateWriter w;
+    w.put_u64(m.cycles_run());
+    w.put_bool_vec(rs.fired());
+    w.put_u64_vec(rs.rule_commit_counts());
+    w.put_u64_vec(rs.rule_abort_counts());
+    w.put_u64_vec(rs.rule_abort_reason_counts());
+    std::vector<uint64_t> stmt = cov.stmt_counts();
+    stmt.pop_back();
+    w.put_u64_vec(stmt);
+    w.put_u64_vec(cov.branch_taken_counts());
+    w.put_u64_vec(cov.branch_not_taken_counts());
+    std::string bytes = w.take();
+
+    GeneratedModel<cuttlesim::models::rv32i_instr> fresh;
+    sim::StateReader r(bytes);
+    try {
+        fresh.load_extra_state(r);
+        FAIL() << "a short coverage section loaded";
+    } catch (const FatalError& e) {
+        std::string msg = e.message();
+        EXPECT_NE(msg.find("statement coverage"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::to_string(stmt.size())), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(std::to_string(stmt.size() + 1)),
+                  std::string::npos)
+            << msg;
+    }
+
+    // The well-formed section round-trips byte for byte.
+    sim::StateWriter good;
+    m.save_extra_state(good);
+    std::string good_bytes = good.take();
+    sim::StateReader gr(good_bytes);
+    fresh.load_extra_state(gr);
+    EXPECT_TRUE(gr.done());
+    sim::StateWriter again;
+    fresh.save_extra_state(again);
+    EXPECT_EQ(again.bytes(), good_bytes);
+}

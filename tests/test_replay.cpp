@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
 #include "base/io.hpp"
 #include "designs/designs.hpp"
+#include "designs/targets.hpp"
 #include "fault/fault.hpp"
 #include "harness/debug.hpp"
 #include "interp/reference_model.hpp"
@@ -418,6 +420,48 @@ TEST(StateCodec, PrimitivesRoundtripAndShortReadsFail)
     EXPECT_THROW(huge_r.get_u64_vec(), FatalError);
 }
 
+TEST(StateCodec, BulkArraysWriteTheVectorBytes)
+{
+    // The pointer forms copy whole arrays; their bytes are the vector
+    // forms' bytes, so checkpoints do not change.
+    const uint64_t words[] = {1, 0x0123456789ABCDEFull, ~0ull};
+    const bool flags[] = {true, false, true};
+    const char blob[] = "raw\0bytes";
+    sim::StateWriter bulk, vec;
+    bulk.put_u64s(words, 3);
+    bulk.put_bools(flags, 3);
+    bulk.put_bytes(blob, sizeof blob);
+    vec.put_u64_vec({1, 0x0123456789ABCDEFull, ~0ull});
+    vec.put_bool_vec({true, false, true});
+    vec.put_string(std::string(blob, sizeof blob));
+    ASSERT_EQ(bulk.bytes(), vec.bytes());
+
+    std::string bytes = bulk.take();
+    sim::StateReader r(bytes);
+    uint64_t got_words[3] = {};
+    ASSERT_EQ(r.get_u64(), 3u);
+    r.get_u64s(got_words, 3);
+    EXPECT_TRUE(std::equal(words, words + 3, got_words));
+    bool got_flags[3] = {};
+    ASSERT_EQ(r.get_u64(), 3u);
+    r.get_bools(got_flags, 3);
+    EXPECT_TRUE(std::equal(flags, flags + 3, got_flags));
+    char got_blob[sizeof blob] = {};
+    ASSERT_EQ(r.get_u64(), sizeof blob);
+    r.get_raw(got_blob, sizeof blob);
+    EXPECT_EQ(std::string(got_blob, sizeof blob),
+              std::string(blob, sizeof blob));
+    EXPECT_TRUE(r.done());
+
+    // Short and wrapping counts fail before any copy.
+    sim::StateReader short_r(bytes);
+    short_r.get_u64();
+    uint64_t sink[4] = {};
+    EXPECT_THROW(short_r.get_u64s(sink, 4 + bytes.size() / 8), FatalError);
+    EXPECT_THROW(short_r.get_u64s(sink, 1ull << 61), FatalError);
+    EXPECT_THROW(short_r.get_raw(sink, bytes.size()), FatalError);
+}
+
 TEST(FaultCampaign, ResumesMidCampaignByteIdentically)
 {
     auto d = designs::build_collatz();
@@ -466,4 +510,182 @@ TEST(FaultCampaign, ResumesMidCampaignByteIdentically)
     other.seed = 12;
     EXPECT_THROW(fault::run_campaign(*d, factory, other), FatalError);
     std::remove(path.c_str());
+}
+
+// -- Flat register words: sim::SystemState on every engine -------------------
+
+namespace {
+
+/** Cycles [from, from + n) of `s`, each followed by its stimulus. */
+void
+step(sim::System& s, uint64_t from, uint64_t n)
+{
+    for (uint64_t c = from; c < from + n; ++c) {
+        s.model->cycle();
+        if (s.stimulus)
+            s.stimulus(*s.model, c);
+    }
+}
+
+/** `words` as the little-endian bytes a checkpoint file stores. */
+std::string
+le_bytes(const std::vector<uint64_t>& words)
+{
+    std::string out;
+    for (uint64_t w : words)
+        for (int b = 0; b < 8; ++b)
+            out.push_back((char)((w >> (8 * b)) & 0xff));
+    return out;
+}
+
+/** The packed register payload of a serialized cuttlesim-ckpt-v1 file:
+ *  after the magic, version, descriptor length and descriptor. */
+std::string
+register_payload(const std::string& file, size_t words)
+{
+    uint32_t hdr = 0;
+    for (int i = 0; i < 4; ++i)
+        hdr |= (uint32_t)(uint8_t)file[8 + (size_t)i] << (8 * i);
+    return file.substr(12 + hdr, words * 8);
+}
+
+std::vector<std::string>
+all_engines()
+{
+    std::vector<std::string> engines = {"ref"};
+    for (int t = 0; t < sim::kNumTiers; ++t)
+        engines.push_back("T" + std::to_string(t));
+    engines.push_back("compiled");
+    return engines;
+}
+
+} // namespace
+
+TEST(SystemState, CaptureRestoreCaptureIsIdenticalOnEveryEngine)
+{
+    for (const char* design : {"collatz", "rv32i"}) {
+        auto d = designs::build_design(design);
+        size_t nwords = 0;
+        for (size_t r = 0; r < d->num_registers(); ++r)
+            nwords += (d->reg((int)r).type->width + 63) / 64;
+        for (const std::string& engine : all_engines()) {
+            SCOPED_TRACE(std::string(design) + " on " + engine);
+            sim::SystemFactory factory =
+                designs::make_target_factory(*d, engine);
+            sim::System a = factory();
+            step(a, 0, 137);
+            sim::SystemState first;
+            sim::capture(a, first);
+            ASSERT_EQ(first.words.size(), nwords);
+
+            sim::System b = factory();
+            EXPECT_TRUE(sim::restore(b, first));
+            sim::SystemState second;
+            sim::capture(b, second);
+            EXPECT_EQ(first.words, second.words);
+            EXPECT_EQ(first.state_key, second.state_key);
+            // EXPECT_TRUE: a failing EXPECT_EQ would diff the binary
+            // strings line by line.
+            EXPECT_TRUE(first.engine == second.engine);
+            EXPECT_TRUE(first.env == second.env);
+            EXPECT_EQ(sim::first_difference(b, first.words), -1);
+
+            // The words are the checkpoint file's register payload.
+            std::string file = Checkpoint::capture(*d, a).serialize();
+            EXPECT_TRUE(register_payload(file, nwords) ==
+                        le_bytes(first.words));
+        }
+    }
+}
+
+TEST(SystemState, T5AndCompiledWordsAgreeEveryCycle)
+{
+    // T5 reads its registers through get_reg, the compiled model packs
+    // them in one call; bisection compares the two word for word.
+    auto d = designs::build_design("rv32i");
+    sim::System t5 = designs::make_target_factory(*d, "T5")();
+    sim::System compiled = designs::make_target_factory(*d, "compiled")();
+    ASSERT_EQ(dynamic_cast<sim::FlatRegsModel*>(t5.model.get()), nullptr);
+    ASSERT_NE(dynamic_cast<sim::FlatRegsModel*>(compiled.model.get()),
+              nullptr);
+    std::vector<uint64_t> a, b;
+    for (uint64_t c = 0; c < 300; ++c) {
+        step(t5, c, 1);
+        step(compiled, c, 1);
+        sim::read_words(t5, a);
+        sim::read_words(compiled, b);
+        ASSERT_EQ(a, b) << "after cycle " << c;
+        ASSERT_EQ(sim::first_difference(compiled, a), -1);
+        ASSERT_EQ(sim::first_difference(t5, b), -1);
+    }
+}
+
+TEST(SystemState, FirstDifferenceNamesEveryFlippedBit)
+{
+    // Every bit of every register, one at a time: the word compare
+    // must name the register a get_reg loop names, including the upper
+    // words and struct fields of d2e_data (wider than 64 bits).
+    auto d = designs::build_design("rv32i");
+    int d2e = d->reg_index("d2e_data");
+    ASSERT_GE(d2e, 0);
+    ASSERT_GT(d->reg(d2e).type->width, 64u);
+    ASSERT_TRUE(d->reg(d2e).type->is_struct());
+    sim::System s = designs::make_target_factory(*d, "compiled")();
+    ASSERT_NE(dynamic_cast<sim::FlatRegsModel*>(s.model.get()), nullptr);
+    step(s, 0, 150);
+    std::vector<uint64_t> words;
+    sim::read_words(s, words);
+    const std::vector<Bits> regs = s.model->snapshot();
+    size_t flips = 0;
+    for (size_t r = 0; r < regs.size(); ++r) {
+        for (uint32_t bit = 0; bit < regs[r].width(); ++bit) {
+            s.model->set_reg((int)r,
+                             regs[r].with_bit(bit, !regs[r].bit(bit)));
+            int by_get_reg = -1;
+            for (size_t q = 0; q < regs.size() && by_get_reg < 0; ++q)
+                if (s.model->get_reg((int)q) != regs[q])
+                    by_get_reg = (int)q;
+            ASSERT_EQ(by_get_reg, (int)r);
+            ASSERT_EQ(sim::first_difference(s, words), by_get_reg)
+                << d->reg((int)r).name << " bit " << bit;
+            s.model->set_reg((int)r, regs[r]);
+            ++flips;
+        }
+    }
+    EXPECT_GT(flips, (size_t)d->reg(d2e).type->width);
+    EXPECT_EQ(sim::first_difference(s, words), -1);
+}
+
+TEST(Checkpoint, ShortRamImageIsADiagnostic)
+{
+    // An env section whose RAM image is 4 bytes short, in a file with
+    // a valid checksum: the device must refuse it, not resize its RAM.
+    auto d = designs::build_design("rv32i");
+    sim::SystemFactory factory = designs::make_target_factory(*d, "T5");
+    sim::System a = factory();
+    step(a, 0, 50);
+    Checkpoint ck = Checkpoint::capture(*d, a);
+    const std::string* env = ck.section("env");
+    ASSERT_NE(env, nullptr);
+    // The section opens with the RAM image: a u64 length, the bytes.
+    sim::StateReader r(*env);
+    uint64_t ram = r.get_u64();
+    ASSERT_EQ(ram, 65536u);
+    sim::StateWriter w;
+    w.put_bytes(env->data() + 8, ram - 4);
+    std::string shorter = w.take() + env->substr(8 + ram);
+    ck.set_section("env", shorter);
+    Checkpoint back = Checkpoint::deserialize(ck.serialize());
+
+    sim::System b = factory();
+    try {
+        back.restore_into(*d, b);
+        FAIL() << "a short RAM image restored";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.diagnostic().phase, "checkpoint");
+        std::string msg = e.message();
+        EXPECT_NE(msg.find("'env'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("65532"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("65536"), std::string::npos) << msg;
+    }
 }
